@@ -1,5 +1,6 @@
 // DMA data-path study: the descriptor-ring engine against the synchronous
-// MMIO-style DmaEngine and the service batch path, batch 1/4/16/64, plus
+// MMIO-style DmaEngine and the service's pipelined block path (batch = the
+// wave of blocks offered before draining), batch 1/4/16/64, plus
 // the seeded descriptor-ring fault campaign whose two invariants
 // (wrong_plaintext_releases == 0, cross_label_writes == 0) CI gates via
 // tools/bench_gate.py --assert-zero.
@@ -131,15 +132,13 @@ PathResult runRingPath(unsigned batch) {
   return r;
 }
 
-// Service batch path, MMIO (use_ring=false) or ring-routed (true).
-PathResult runServicePath(unsigned batch, bool use_ring) {
+// Service block path: a wave of `batch` blocks is submitted, then drained
+// through the pipelined issue path.
+PathResult runServicePath(unsigned batch) {
   Rig rig;
   ServiceConfig cfg;
-  cfg.batch_size = batch;
   cfg.quota_per_round = batch;
   cfg.global_high_watermark = 2 * batch + 8;
-  cfg.use_dma_ring = use_ring;
-  cfg.dma_ring_min_run = 16;
   AccelService svc{rig.acc, cfg};
   TenantSpec spec;
   spec.user = rig.alice;
@@ -174,13 +173,12 @@ void printPathMatrix() {
   std::printf("DMA data paths, 256 blocks/cell, blocks per device cycle\n");
   std::printf("%-14s %6s %10s %14s %10s\n", "path", "batch", "blocks",
               "device_cycles", "blk/cyc");
-  const char* names[] = {"sync", "ring", "service", "service_ring"};
+  const char* names[] = {"sync", "ring", "service"};
   for (const unsigned batch : kBatches) {
-    PathResult res[4] = {runSyncPath(batch), runRingPath(batch),
-                         runServicePath(batch, false),
-                         runServicePath(batch, true)};
-    for (unsigned p = 0; p < 4; ++p) {
-      const bool ring_path = (p == 1 || p == 3);
+    PathResult res[3] = {runSyncPath(batch), runRingPath(batch),
+                         runServicePath(batch)};
+    for (unsigned p = 0; p < 3; ++p) {
+      const bool ring_path = p == 1;
       const double floor = (ring_path && batch >= 16)
                                ? static_cast<double>(batch) / (batch + 80.0)
                                : 0.0;

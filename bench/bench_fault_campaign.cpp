@@ -266,7 +266,6 @@ PoolResilienceOutcome runPoolResilience(bool quarantine, std::uint64_t seed) {
 
   soc::PoolConfig cfg;
   cfg.shards = kShards;
-  cfg.service.batch_size = 4;
   cfg.service.quota_per_round = 16;
   cfg.service.global_high_watermark = 4096;
   // Keep the sick shard down for the whole campaign: this measures life

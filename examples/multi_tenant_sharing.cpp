@@ -157,7 +157,6 @@ void serviceDegradedModeDemo() {
 void elasticPoolQuarantineDemo() {
   soc::PoolConfig pcfg;
   pcfg.shards = 3;
-  pcfg.service.batch_size = 4;
   pcfg.service.quota_per_round = 8;
   pcfg.service.health.quarantine_residency_cycles = 1u << 20;
   soc::EnginePool pool{pcfg};

@@ -102,18 +102,7 @@ AccelResult<std::vector<aes::Block>> AccelSession::runBatch(
     }
   };
   auto finish = [&](AccelStatus verdict) {
-    cycles_used_ += acc_.cycle() - start_cycle;
-    last_status_ = verdict;
-    switch (verdict) {
-      case AccelStatus::Ok: ++telemetry_.ok; break;
-      case AccelStatus::Suppressed: ++telemetry_.suppressed; break;
-      case AccelStatus::Timeout: ++telemetry_.timeouts; break;
-      case AccelStatus::FaultAborted: ++telemetry_.fault_aborts; break;
-      case AccelStatus::Dropped: ++telemetry_.drops; break;
-      case AccelStatus::Rejected: ++telemetry_.rejected; break;
-      case AccelStatus::AuthFailed: ++telemetry_.auth_failed; break;
-    }
-    return verdict;
+    return finishVerdict(verdict, start_cycle);
   };
 
   for (unsigned attempt = 0;; ++attempt) {
@@ -236,9 +225,9 @@ void AccelSession::asyncSubmit(std::uint64_t ticket, AsyncBatch& b) {
 }
 
 void AccelSession::asyncDrain() {
-  std::vector<BlockResponse> drained;
-  acc_.fetchOutputs(user_, drained);
-  for (const auto& resp : drained) {
+  drained_.clear();
+  acc_.fetchOutputs(user_, drained_);
+  for (const auto& resp : drained_) {
     auto it = async_order_.find(resp.req_id);
     if (it == async_order_.end()) continue;  // stale / foreign / duplicate
     const auto [ticket, idx] = it->second;
@@ -299,6 +288,20 @@ AccelResult<std::vector<aes::Block>> AccelSession::finishBatch(
     acc_.tick();
     ++waited;
   }
+  AsyncBatch b = retireBatch(it);
+  if (b.rejected) return finishVerdict(AccelStatus::Rejected, start);
+  if (b.transient) return finishVerdict(*b.transient, start);
+  if (b.resolved < b.blocks.size()) {
+    return finishVerdict(AccelStatus::Timeout, start);
+  }
+  if (b.any_suppressed) return finishVerdict(AccelStatus::Suppressed, start);
+  (void)finishVerdict(AccelStatus::Ok, start);
+  return std::move(b.out);
+}
+
+AccelSession::AsyncBatch AccelSession::retireBatch(
+    std::map<std::uint64_t, AsyncBatch>::iterator it) {
+  const std::uint64_t ticket = it->first;
   AsyncBatch b = std::move(it->second);
   async_batches_.erase(it);
   // Orphan this batch's remaining request ids so late responses are
@@ -310,24 +313,12 @@ AccelResult<std::vector<aes::Block>> AccelSession::finishBatch(
       ++oit;
     }
   }
-  if (b.rejected) return finishVerdict(AccelStatus::Rejected, start);
-  if (b.transient) return finishVerdict(*b.transient, start);
-  if (b.resolved < b.blocks.size()) {
-    return finishVerdict(AccelStatus::Timeout, start);
-  }
-  if (b.any_suppressed) return finishVerdict(AccelStatus::Suppressed, start);
-  (void)finishVerdict(AccelStatus::Ok, start);
-  return std::move(b.out);
+  return b;
 }
 
-AccelResult<std::vector<aes::Block>> AccelSession::encryptBlocks(
-    const std::vector<aes::Block>& pts) {
-  return runBatch(pts, false);
-}
-
-AccelResult<std::vector<aes::Block>> AccelSession::decryptBlocks(
-    const std::vector<aes::Block>& cts) {
-  return runBatch(cts, true);
+void AccelSession::cancelBatch(std::uint64_t ticket) {
+  auto it = async_batches_.find(ticket);
+  if (it != async_batches_.end()) retireBatch(it);
 }
 
 AccelResult<aes::Block> AccelSession::encryptBlock(const aes::Block& pt) {
@@ -401,22 +392,6 @@ AccelResult<aes::Bytes> AccelSession::cbcDecrypt(const aes::Bytes& data,
   return out;
 }
 
-AccelStatus AccelSession::finishGcm(AccelStatus verdict,
-                                    std::uint64_t start_cycle) {
-  cycles_used_ += acc_.cycle() - start_cycle;
-  last_status_ = verdict;
-  switch (verdict) {
-    case AccelStatus::Ok: ++telemetry_.ok; break;
-    case AccelStatus::Suppressed: ++telemetry_.suppressed; break;
-    case AccelStatus::Timeout: ++telemetry_.timeouts; break;
-    case AccelStatus::FaultAborted: ++telemetry_.fault_aborts; break;
-    case AccelStatus::Dropped: ++telemetry_.drops; break;
-    case AccelStatus::Rejected: ++telemetry_.rejected; break;
-    case AccelStatus::AuthFailed: ++telemetry_.auth_failed; break;
-  }
-  return verdict;
-}
-
 AccelResult<GcmResponse> AccelSession::runGcm(GcmRequest req) {
   const std::uint64_t start_cycle = acc_.cycle();
   req.user = user_;
@@ -429,7 +404,7 @@ AccelResult<GcmResponse> AccelSession::runGcm(GcmRequest req) {
   for (unsigned attempt = 0;; ++attempt) {
     req.req_id = next_req_++;
     if (!acc_.submitGcm(req))
-      return finishGcm(AccelStatus::Rejected, start_cycle);
+      return finishVerdict(AccelStatus::Rejected, start_cycle);
     const std::uint64_t attempt_start = acc_.cycle();
     std::optional<GcmResponse> got;
     while (true) {
@@ -448,16 +423,17 @@ AccelResult<GcmResponse> AccelSession::runGcm(GcmRequest req) {
     if (!got.has_value()) {
       verdict = AccelStatus::Timeout;
     } else if (got->suppressed) {
-      return finishGcm(AccelStatus::Suppressed, start_cycle);  // final
+      return finishVerdict(AccelStatus::Suppressed, start_cycle);  // final
     } else if (got->auth_failed) {
-      return finishGcm(AccelStatus::AuthFailed, start_cycle);  // verdict
+      return finishVerdict(AccelStatus::AuthFailed, start_cycle);  // verdict
     } else if (got->fault_aborted) {
       verdict = AccelStatus::FaultAborted;
     } else {
-      (void)finishGcm(AccelStatus::Ok, start_cycle);
+      (void)finishVerdict(AccelStatus::Ok, start_cycle);
       return std::move(*got);
     }
-    if (attempt >= opts_.max_retries) return finishGcm(verdict, start_cycle);
+    if (attempt >= opts_.max_retries)
+      return finishVerdict(verdict, start_cycle);
     ++retries_;
     acc_.noteRetry();
     const std::uint64_t backoff = opts_.backoff_cycles << attempt;

@@ -143,17 +143,6 @@ class AccelSession {
   AccelResult<aes::Block> encryptBlock(const aes::Block& pt);
   AccelResult<aes::Block> decryptBlock(const aes::Block& ct);
 
-  // Batch submit/drain: all blocks submitted back-to-back (one per cycle)
-  // so the pipeline fills, responses collected in submission order. K
-  // blocks cost ~K + pipeline-depth cycles instead of K x (depth + 1) —
-  // this is the path a batching service layer uses to reach the engine's
-  // 1 block/cycle design point. One terminal verdict covers the whole
-  // batch (per-tenant label verdicts are uniform across a batch).
-  AccelResult<std::vector<aes::Block>> encryptBlocks(
-      const std::vector<aes::Block>& pts);
-  AccelResult<std::vector<aes::Block>> decryptBlocks(
-      const std::vector<aes::Block>& cts);
-
   // Pipelined modes: one submission per cycle, all blocks in flight.
   AccelResult<aes::Bytes> ecbEncrypt(const aes::Bytes& data);
   AccelResult<aes::Bytes> ecbDecrypt(const aes::Bytes& data);
@@ -183,6 +172,11 @@ class AccelSession {
   bool pollBatch(std::uint64_t ticket);  // true once terminal (or unknown)
   AccelResult<std::vector<aes::Block>> finishBatch(
       std::uint64_t ticket, std::uint64_t max_wait_cycles = 0);
+  // Abandon a ticket without a verdict: the caller is re-issuing the work
+  // (go-back-N behind a failed block), so nothing is recorded in
+  // telemetry() — an abandoned attempt says nothing about device health.
+  // Late responses for it are dropped.
+  void cancelBatch(std::uint64_t ticket);
   std::size_t asyncOutstanding() const { return async_batches_.size(); }
 
   // On-device AEAD (SP 800-38D): the whole operation — CTR keystream, H,
@@ -219,7 +213,6 @@ class AccelSession {
       const std::vector<aes::Block>& blocks, bool decrypt);
   // Run one GCM op synchronously, retrying transient failures.
   AccelResult<GcmResponse> runGcm(GcmRequest req);
-  AccelStatus finishGcm(AccelStatus verdict, std::uint64_t start_cycle);
 
   // One outstanding asynchronous batch (beginBatch/pollBatch/finishBatch).
   struct AsyncBatch {
@@ -239,7 +232,10 @@ class AccelSession {
            b.resolved == b.blocks.size();
   }
   void asyncSubmit(std::uint64_t ticket, AsyncBatch& b);
+  // Remove a ticket and orphan its outstanding request ids.
+  AsyncBatch retireBatch(std::map<std::uint64_t, AsyncBatch>::iterator it);
   void asyncDrain();
+  // Record one terminal verdict (cycles, last status, telemetry).
   AccelStatus finishVerdict(AccelStatus verdict, std::uint64_t start_cycle);
 
   AesAccelerator& acc_;
@@ -249,6 +245,7 @@ class AccelSession {
   std::map<std::uint64_t, AsyncBatch> async_batches_;
   // req_id -> (ticket, block index) across every outstanding async batch.
   std::map<std::uint64_t, std::pair<std::uint64_t, std::size_t>> async_order_;
+  std::vector<BlockResponse> drained_;  // asyncDrain's reused buffer
   std::uint64_t next_ticket_ = 1;
   std::uint64_t next_req_ = 1;
   std::uint64_t cycles_used_ = 0;

@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "soc/dma.h"
 #include "soc/fault_injector.h"
+#include "soc/pool.h"
 
 namespace aesifc::soc {
 
@@ -179,6 +180,77 @@ TimingChannelResult runTimingChannelAttack(SecurityMode mode,
   r.eve_latency = latencyStats(eve_latencies);
   r.stalled_cycles = acc.stats().stalled_cycles;
   r.denied_stalls = acc.stats().denied_stalls;
+  return r;
+}
+
+ServiceTimingChannelResult runServiceTimingChannelAttack(
+    const TimingChannelParams& p, bool modulate_volume) {
+  constexpr unsigned kPerWindow = 4;  // blocks per tenant per window
+  Rng rng{p.seed};
+  std::vector<int> secret(p.secret_bits);
+  for (auto& b : secret) b = rng.chance(0.5) ? 1 : 0;
+
+  PoolConfig cfg;
+  cfg.shards = 1;
+  EnginePool pool{cfg};
+  auto add = [&](const char* name, unsigned category, Rng& key_rng) {
+    PoolTenantSpec spec;
+    spec.name = name;
+    spec.category = category;
+    spec.key = Bench::randomKey(key_rng);
+    return pool.addTenant(spec).tenant;
+  };
+  Rng eve_rng{0xe7e};
+  const unsigned alice = add("alice", 1, rng);  // key follows the secret
+  const unsigned eve = add("eve", 2, eve_rng);
+
+  ServiceTimingChannelResult r;
+  std::vector<double> window_latency(p.secret_bits, 0.0);
+  auto fetchEve = [&] {
+    while (auto c = pool.fetch(eve)) {
+      const std::size_t op = r.eve_complete_cycles.size();
+      r.eve_complete_cycles.push_back(c->complete_cycle);
+      window_latency[op / kPerWindow] +=
+          static_cast<double>(c->complete_cycle - c->submit_cycle);
+    }
+  };
+  auto drainAlice = [&] {
+    while (pool.fetch(alice)) {
+    }
+  };
+  for (unsigned w = 0; w < p.secret_bits; ++w) {
+    const bool one = secret[w] != 0;
+    const unsigned alice_n = modulate_volume && !one ? 0 : kPerWindow;
+    for (unsigned i = 0; i < alice_n; ++i) {
+      aes::Block pt{};  // bit 0: zero blocks; bit 1: random, decrypted
+      if (one)
+        for (auto& b : pt) b = static_cast<std::uint8_t>(rng.next());
+      pool.submit(alice, pt, /*decrypt=*/one);
+    }
+    for (unsigned i = 0; i < kPerWindow; ++i)
+      pool.submit(eve, blockOf(static_cast<std::uint8_t>(i)));
+    for (unsigned k = 0; k < p.window / 16; ++k) {
+      pool.pump();
+      fetchEve();
+      if (!one) drainAlice();  // bit 0: every round; bit 1: once a window
+    }
+    drainAlice();
+  }
+  pool.runUntilIdle(1u << 20);
+  fetchEve();
+
+  // Eve decodes: a higher mean latency in a window => bit 1.
+  const auto [lo, hi] =
+      std::minmax_element(window_latency.begin(), window_latency.end());
+  const double threshold = (*lo + *hi) / 2.0;
+  std::vector<int> decoded(p.secret_bits);
+  unsigned correct = 0;
+  for (unsigned i = 0; i < p.secret_bits; ++i) {
+    decoded[i] = *lo == *hi ? 0 : (window_latency[i] > threshold ? 1 : 0);
+    if (decoded[i] == secret[i]) ++correct;
+  }
+  r.mi_bits = mutualInformationBits(secret, decoded);
+  r.accuracy = static_cast<double>(correct) / p.secret_bits;
   return r;
 }
 

@@ -35,6 +35,23 @@ struct TimingChannelResult {
 TimingChannelResult runTimingChannelAttack(accel::SecurityMode mode,
                                            const TimingChannelParams& p = {});
 
+// --- Fig. 8 through the serving stack -------------------------------------------
+// Alice and Eve share one EnginePool shard, so their blocks interleave in
+// the live pipe. Alice's secret bit modulates every lever a service client
+// holds except volume: her fetch cadence, plaintexts, encrypt/decrypt mix,
+// and (per run) her key. Eve submits a fixed stream and decodes the secret
+// from her per-window mean latency. `modulate_volume` is the control: Alice
+// also doubles her submit volume on a 1 bit — a public scheduling signal
+// the service does not hide — so the decoder is shown to work.
+struct ServiceTimingChannelResult {
+  double mi_bits = 0.0;
+  double accuracy = 0.0;
+  std::vector<std::uint64_t> eve_complete_cycles;  // per op, in order
+};
+
+ServiceTimingChannelResult runServiceTimingChannelAttack(
+    const TimingChannelParams& p = {}, bool modulate_volume = false);
+
 // --- Ablation: acceptance-delay channel ------------------------------------------
 // Eve sends one sparse probe per window while only Alice's traffic is in
 // flight; if Alice's granted stall may delay Eve's *acceptance* (stage-only

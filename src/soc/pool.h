@@ -22,12 +22,15 @@
 //    N+1 only remaps the tenants whose top weight IS the new shard
 //    (expected 1/(N+1) of them) — everyone else keeps their home.
 //
-//  * Batching stays inside a tenant. The per-shard service drains one
-//    tenant's queue back-to-back into the 30-stage pipe (K blocks in
-//    ~K + depth cycles instead of K x (depth + 1)); it never merges
-//    tenants into one batch and never reorders within a tenant, so
-//    completion order — the observable a co-located tenant could time —
-//    depends only on the scheduler's fixed round-robin, not on data.
+//  * Tenants share the pipe, not their data's timing. The per-shard
+//    service issues blocks from any mix of its tenants into the live
+//    30-stage pipe (K blocks in ~K + depth cycles, whoever sent them) and
+//    settles them in per-tenant submission order as they exit. The
+//    per-stage tags and the Fig. 8 meet-gated stall make the interleaving
+//    safe, and issue order follows the scheduler's fixed round-robin, so a
+//    co-located tenant's completion cycles depend on that public schedule
+//    and its own traffic, never on another tenant's data, key or
+//    direction.
 //
 // The pool is ELASTIC and SELF-HEALING:
 //
@@ -75,7 +78,7 @@ struct PoolTenantSpec {
 struct PoolConfig {
   unsigned shards = 4;
   // Per-shard templates: every shard gets an identical engine and service
-  // configuration (including ServiceConfig::batch_size).
+  // configuration.
   accel::AcceleratorConfig engine;
   ServiceConfig service;
   // Load-aware spill: a tenant leaves its rendezvous-home shard only when

@@ -42,9 +42,7 @@ std::string ServiceStats::toJson() const {
      << ",\"completed_fallback\":" << completed_fallback
      << ",\"fallback_suppressed\":" << fallback_suppressed
      << ",\"hw_transient_failures\":" << hw_transient_failures
-     << ",\"requeues\":" << requeues << ",\"batched_runs\":" << batched_runs
-     << ",\"batched_blocks\":" << batched_blocks
-     << ",\"batch_fallbacks\":" << batch_fallbacks
+     << ",\"requeues\":" << requeues
      << ",\"canary_rounds\":" << canary_rounds
      << ",\"canary_failures\":" << canary_failures
      << ",\"key_reprovisions\":" << key_reprovisions
@@ -53,10 +51,7 @@ std::string ServiceStats::toJson() const {
      << ",\"aead_completed_hw\":" << aead_completed_hw
      << ",\"aead_completed_fallback\":" << aead_completed_fallback
      << ",\"aead_auth_failed\":" << aead_auth_failed
-     << ",\"wrong_key_uses\":" << wrong_key_uses
-     << ",\"dma_ring_runs\":" << dma_ring_runs
-     << ",\"dma_ring_blocks\":" << dma_ring_blocks
-     << ",\"dma_ring_fallbacks\":" << dma_ring_fallbacks << "}";
+     << ",\"wrong_key_uses\":" << wrong_key_uses << "}";
   return os.str();
 }
 
@@ -71,9 +66,6 @@ ServiceStats& ServiceStats::operator+=(const ServiceStats& o) {
   fallback_suppressed += o.fallback_suppressed;
   hw_transient_failures += o.hw_transient_failures;
   requeues += o.requeues;
-  batched_runs += o.batched_runs;
-  batched_blocks += o.batched_blocks;
-  batch_fallbacks += o.batch_fallbacks;
   canary_rounds += o.canary_rounds;
   canary_failures += o.canary_failures;
   key_reprovisions += o.key_reprovisions;
@@ -83,66 +75,28 @@ ServiceStats& ServiceStats::operator+=(const ServiceStats& o) {
   aead_completed_fallback += o.aead_completed_fallback;
   aead_auth_failed += o.aead_auth_failed;
   wrong_key_uses += o.wrong_key_uses;
-  dma_ring_runs += o.dma_ring_runs;
-  dma_ring_blocks += o.dma_ring_blocks;
-  dma_ring_fallbacks += o.dma_ring_fallbacks;
   return *this;
 }
 
-namespace {
-// Per-tenant slice of the service's DMA arena: descriptor ring, chain
-// arena, completion ring, then src/dst staging. 32 KiB per tenant in a
-// 1 MiB arena caps the ring path at 32 tenants; later tenants simply stay
-// on the MMIO path.
-constexpr std::size_t kRingArenaBytes = 1u << 20;
-constexpr std::size_t kRingTenantSpan = 0x8000;
-constexpr std::size_t kRingStagingSrc = 0x1000;
-constexpr std::size_t kRingStagingDst = 0x4000;
-constexpr std::size_t kRingStagingMax = kRingStagingDst - kRingStagingSrc;
-}  // namespace
-
 AccelService::AccelService(accel::AesAccelerator& acc, ServiceConfig cfg)
     : acc_{acc}, cfg_{cfg}, monitor_{cfg.health},
-      window_start_cycle_{acc.cycle()} {
-  if (cfg_.use_dma_ring) {
-    ring_mem_ = std::make_unique<HostMemory>(kRingArenaBytes);
-    ring_eng_ = std::make_unique<DmaRingEngine>(acc_, *ring_mem_,
-                                                /*hardened=*/true);
-  }
-}
-
-void AccelService::setupTenantRing(unsigned tenant) {
-  ring_drvs_.push_back(nullptr);
-  if (!ring_eng_) return;
-  const std::size_t base = kRingTenantSpan * tenant;
-  if (base + kRingTenantSpan > ring_mem_->size()) return;  // arena exhausted
-  // The whole slice — rings and staging — carries the tenant's authority,
-  // so the engine's ring-page and src/dst page checks bind the channel to
-  // this tenant exactly like the MMIO port binds a BlockRequest.
-  ring_mem_->setPageLabel(base, kRingTenantSpan,
-                          acc_.principal(tenants_[tenant].user).authority);
-  DmaRingConfig rc;
-  rc.desc_base = base;
-  rc.desc_slots = 8;
-  rc.chain_base = base + 0x200;
-  rc.chain_slots = 8;
-  rc.comp_base = base + 0x400;
-  rc.comp_slots = 8;
-  const unsigned ch = ring_eng_->addChannel(rc);
-  ring_drvs_.back() =
-      std::make_unique<DmaRingDriver>(*ring_eng_, *ring_mem_, ch, rc);
-}
+      window_start_cycle_{acc.cycle()} {}
 
 unsigned AccelService::addTenant(const TenantSpec& spec) {
   const auto t = tryAddTenant(spec);
   if (!t.has_value()) {
-    throw std::runtime_error("AccelService::addTenant: key provisioning for "
-                             "user " + std::to_string(spec.user) + " refused");
+    throw std::runtime_error("AccelService::addTenant: user " +
+                             std::to_string(spec.user) +
+                             " refused (key provisioning, or already a "
+                             "tenant)");
   }
   return *t;
 }
 
 std::optional<unsigned> AccelService::tryAddTenant(const TenantSpec& spec) {
+  for (unsigned t = 0; t < tenants_.size(); ++t) {
+    if (tenant_active_[t] && tenants_[t].user == spec.user) return std::nullopt;
+  }
   if (!accel::loadKeyBytes(acc_, spec.user, spec.key_slot, spec.cell_base,
                            spec.key, aes::KeySize::Aes128, spec.key_conf)) {
     return std::nullopt;
@@ -152,12 +106,13 @@ std::optional<unsigned> AccelService::tryAddTenant(const TenantSpec& spec) {
   sessions_.emplace_back(acc_, spec.user, spec.key_slot, cfg_.healthy_opts);
   golden_.push_back(aes::expandKey(spec.key, aes::KeySize::Aes128));
   queues_.emplace_back();
+  inflight_.push_back(0);
+  shed_.emplace_back();
   completions_.emplace_back();
   aead_queues_.emplace_back();
   aead_completions_.emplace_back();
   tenant_active_.push_back(1);
   completed_per_tenant_.push_back(0);
-  setupTenantRing(t);
   return t;
 }
 
@@ -166,12 +121,16 @@ void AccelService::deactivateTenant(unsigned tenant) {
 }
 
 bool AccelService::drainTenant(unsigned tenant, std::uint64_t max_device_cycles) {
+  // An attempt cancelled by go-back-N may still sit in the device's input
+  // queue after its request settled; the slot-quiesce barrier that follows
+  // a drain only sees the pipe, so wait for the input queue too.
+  auto drained = [&] {
+    return queues_.at(tenant).empty() && aead_queues_.at(tenant).empty() &&
+           acc_.pendingInputs(tenants_.at(tenant).user) == 0;
+  };
   const std::uint64_t start = acc_.cycle();
-  while ((!queues_.at(tenant).empty() || !aead_queues_.at(tenant).empty()) &&
-         acc_.cycle() - start < max_device_cycles) {
-    pump();
-  }
-  return queues_.at(tenant).empty() && aead_queues_.at(tenant).empty();
+  while (!drained() && acc_.cycle() - start < max_device_cycles) pump();
+  return drained();
 }
 
 void AccelService::forceQuarantine(const std::string& reason) {
@@ -183,6 +142,7 @@ void AccelService::forceQuarantine(const std::string& reason) {
 std::size_t AccelService::totalQueued() const {
   std::size_t n = 0;
   for (const auto& q : queues_) n += q.size();
+  for (const auto& q : shed_) n += q.size();
   for (const auto& q : aead_queues_) n += q.size();
   return n;
 }
@@ -206,18 +166,23 @@ SubmitResult AccelService::submit(unsigned tenant, const aes::Block& data,
     return {false, 0, AdmitError::Backpressure};
   }
 
-  if (q.size() >= tenants_[tenant].queue_depth) {
+  const std::size_t waiting = q.size() - inflight_.at(tenant);
+  if (waiting >= tenants_[tenant].queue_depth) {
     if (cfg_.overflow == OverflowPolicy::RejectNew) {
       ++stats_.rejected_queue_full;
       return {false, 0, AdmitError::QueueFull};
     }
-    // ShedOldest: the tenant trades its own stalest request for the fresh
-    // one; the evicted ticket still resolves (as Shed), never vanishes.
-    Request victim = std::move(q.front());
-    q.pop_front();
+    // ShedOldest: the tenant trades its own stalest waiting request for the
+    // fresh one; the evicted ticket still resolves (as Shed), never
+    // vanishes. Blocks already in the device are not eligible.
+    const auto oldest =
+        q.begin() + static_cast<std::ptrdiff_t>(inflight_[tenant]);
     ++stats_.shed;
-    complete(tenant, victim, CompletionStatus::Shed, ServedBy::None,
-             aes::Block{});
+    // Its verdict still waits for the older blocks in flight, to keep
+    // completion order.
+    shed_[tenant].push_back(std::move(*oldest));
+    q.erase(oldest);
+    releaseShed(tenant);
   }
 
   Request req;
@@ -250,6 +215,7 @@ void AccelService::complete(unsigned tenant, const Request& req,
   c.submit_cycle = req.submit_cycle;
   c.complete_cycle = acc_.cycle();
   completions_.at(tenant).push_back(std::move(c));
+  ++settled_;
   if (st == CompletionStatus::Ok) ++completed_per_tenant_.at(tenant);
 }
 
@@ -332,6 +298,7 @@ void AccelService::completeAead(unsigned tenant, const AeadRequest& req,
   c.submit_cycle = req.submit_cycle;
   c.complete_cycle = acc_.cycle();
   aead_completions_.at(tenant).push_back(std::move(c));
+  ++settled_;
   if (st == CompletionStatus::Ok) ++completed_per_tenant_.at(tenant);
 }
 
@@ -389,51 +356,126 @@ void AccelService::serveFallback(unsigned tenant, const Request& req) {
   complete(tenant, req, CompletionStatus::Ok, ServedBy::SoftwareFallback, out);
 }
 
-void AccelService::serveHardware(unsigned tenant, Request req) {
-  auto& session = sessions_[tenant];
-  const auto r = req.decrypt ? session.decryptBlock(req.data)
-                             : session.encryptBlock(req.data);
-  if (r.has_value()) {
-    ++stats_.completed_hw;
-    complete(tenant, req, CompletionStatus::Ok, ServedBy::Hardware, *r);
-    return;
+namespace {
+
+CompletionStatus failureVerdict(AccelStatus st) {
+  switch (st) {
+    case AccelStatus::Rejected: return CompletionStatus::Rejected;
+    case AccelStatus::FaultAborted: return CompletionStatus::FaultAborted;
+    case AccelStatus::Dropped: return CompletionStatus::Dropped;
+    default: return CompletionStatus::TimedOut;
   }
-  switch (r.status()) {
-    case AccelStatus::Suppressed:
-      complete(tenant, req, CompletionStatus::Suppressed, ServedBy::Hardware,
-               aes::Block{});
-      return;
-    case AccelStatus::Rejected:
-      // Typically a fail-secure zeroized slot. Re-provision once and let
-      // the request ride again; a tenant whose key cannot be restored gets
-      // a definite Rejected.
-      if (req.requeues < cfg_.max_requeues && reprovisionKey(tenant)) {
-        ++req.requeues;
-        ++stats_.requeues;
-        queues_[tenant].push_front(std::move(req));
-      } else {
-        complete(tenant, req, CompletionStatus::Rejected, ServedBy::Hardware,
-                 aes::Block{});
+}
+
+}  // namespace
+
+bool AccelService::hardwarePath() const {
+  const HealthState st = monitor_.state();
+  return st == HealthState::Healthy || st == HealthState::Degraded;
+}
+
+std::size_t AccelService::inflightCap() const {
+  // Enough to keep every stage busy plus the overflow buffer the Fig. 8
+  // stall rule parks exits in; more would only queue at the device input.
+  return acc_.pipeline().depth() + acc_.config().out_buffer_depth;
+}
+
+void AccelService::issue(unsigned tenant) {
+  Request& req = queues_[tenant][inflight_[tenant]];
+  req.session_ticket = sessions_[tenant].beginBatch({req.data}, req.decrypt);
+  req.issue_cycle = acc_.cycle();
+  ++inflight_[tenant];
+  ++inflight_total_;
+}
+
+void AccelService::collect() {
+  for (unsigned t = 0; t < tenants_.size(); ++t) {
+    auto& q = queues_[t];
+    auto& session = sessions_[t];
+    while (inflight_[t] > 0) {
+      Request& head = q.front();
+      if (!session.pollBatch(head.session_ticket)) {
+        // Exits settle in order, so only the head can hold the tenant up:
+        // past its watchdog it is abandoned (a Timeout health verdict).
+        const std::uint64_t age = acc_.cycle() - head.issue_cycle;
+        if (age > session.options().timeout_cycles)
+          goBack(t, session.finishBatch(head.session_ticket).status());
+        break;
       }
-      return;
-    default:
-      break;
+      const auto r = session.finishBatch(head.session_ticket);
+      if (r.status() == AccelStatus::Ok ||
+          r.status() == AccelStatus::Suppressed) {
+        const bool ok = r.has_value();
+        if (ok) ++stats_.completed_hw;
+        complete(t, head,
+                 ok ? CompletionStatus::Ok : CompletionStatus::Suppressed,
+                 ServedBy::Hardware, ok ? (*r)[0] : aes::Block{});
+        q.pop_front();
+        --inflight_[t];
+        --inflight_total_;
+        releaseShed(t);
+        continue;
+      }
+      goBack(t, r.status());
+    }
   }
-  // Transient failure that survived the driver's own retry budget.
-  ++stats_.hw_transient_failures;
-  if (req.requeues < cfg_.max_requeues) {
-    ++req.requeues;
-    ++stats_.requeues;
-    // Front of the queue: per-tenant order is preserved, and if the breaker
-    // trips before the next round the request is served by the fallback.
-    queues_[tenant].push_front(std::move(req));
-    return;
+}
+
+void AccelService::goBack(unsigned tenant, AccelStatus st) {
+  auto& q = queues_[tenant];
+  // The head's attempt is already retired; every attempt behind it is
+  // abandoned and will be re-issued in order.
+  for (std::size_t i = 1; i < inflight_[tenant]; ++i)
+    sessions_[tenant].cancelBatch(q[i].session_ticket);
+  inflight_total_ -= inflight_[tenant];
+  inflight_[tenant] = 0;
+
+  // A retried head stays at the front: per-tenant order is preserved, and
+  // if the breaker trips before the next round the fallback serves it.
+  if (retryAfter(tenant, st, q.front().requeues)) return;
+  complete(tenant, q.front(), failureVerdict(st), ServedBy::Hardware,
+           aes::Block{});
+  q.pop_front();
+  releaseShed(tenant);
+}
+
+void AccelService::releaseShed(unsigned tenant) {
+  auto& shed = shed_[tenant];
+  const auto& q = queues_[tenant];
+  std::size_t n = 0;
+  while (n < shed.size() &&
+         (q.empty() || q.front().ticket > shed[n].ticket)) {
+    complete(tenant, shed[n], CompletionStatus::Shed, ServedBy::None,
+             aes::Block{});
+    ++n;
   }
-  CompletionStatus st = CompletionStatus::TimedOut;
-  if (r.status() == AccelStatus::FaultAborted)
-    st = CompletionStatus::FaultAborted;
-  else if (r.status() == AccelStatus::Dropped) st = CompletionStatus::Dropped;
-  complete(tenant, req, st, ServedBy::Hardware, aes::Block{});
+  shed.erase(shed.begin(), shed.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
+bool AccelService::retryAfter(unsigned tenant, AccelStatus st,
+                              unsigned& requeues) {
+  if (st != AccelStatus::Rejected) ++stats_.hw_transient_failures;
+  if (requeues >= cfg_.max_requeues) return false;
+  // A submit refusal is typically a fail-secure zeroized slot: the request
+  // rides again only if the key can be re-provisioned.
+  if (st == AccelStatus::Rejected && !reprovisionKey(tenant)) return false;
+  ++requeues;
+  ++stats_.requeues;
+  return true;
+}
+
+void AccelService::tickAndCollect() {
+  acc_.tick();
+  collect();
+}
+
+void AccelService::settleTenant(unsigned tenant) {
+  // Terminates: an unexited head goes back to the queue at its watchdog.
+  while (inflight_[tenant] > 0) tickAndCollect();
+}
+
+void AccelService::settleAll() {
+  while (inflight_total_ > 0) tickAndCollect();
 }
 
 void AccelService::serveAeadFallback(unsigned tenant, const AeadRequest& req) {
@@ -508,30 +550,15 @@ void AccelService::serveAeadHardware(unsigned tenant, AeadRequest req) {
       completeAead(tenant, req, CompletionStatus::AuthFailed,
                    ServedBy::Hardware, {}, aes::Tag128{});
       return;
-    case AccelStatus::Rejected:
-      if (req.requeues < cfg_.max_requeues && reprovisionKey(tenant)) {
-        ++req.requeues;
-        ++stats_.requeues;
-        aead_queues_[tenant].push_front(std::move(req));
-      } else {
-        completeAead(tenant, req, CompletionStatus::Rejected,
-                     ServedBy::Hardware, {}, aes::Tag128{});
-      }
-      return;
     default:
       break;
   }
-  ++stats_.hw_transient_failures;
-  if (req.requeues < cfg_.max_requeues) {
-    ++req.requeues;
-    ++stats_.requeues;
+  if (retryAfter(tenant, st, req.requeues)) {
     aead_queues_[tenant].push_front(std::move(req));
     return;
   }
-  CompletionStatus cs = CompletionStatus::TimedOut;
-  if (st == AccelStatus::FaultAborted) cs = CompletionStatus::FaultAborted;
-  else if (st == AccelStatus::Dropped) cs = CompletionStatus::Dropped;
-  completeAead(tenant, req, cs, ServedBy::Hardware, {}, aes::Tag128{});
+  completeAead(tenant, req, failureVerdict(st), ServedBy::Hardware, {},
+               aes::Tag128{});
 }
 
 void AccelService::serveAead(unsigned tenant, AeadRequest req) {
@@ -544,167 +571,29 @@ void AccelService::serveAead(unsigned tenant, AeadRequest req) {
                  aes::Tag128{});
     return;
   }
-  const HealthState st = monitor_.state();
-  if (st == HealthState::Quarantined || st == HealthState::Probation) {
-    serveAeadFallback(tenant, req);
-  } else {
+  if (hardwarePath()) {
+    settleTenant(tenant);
     serveAeadHardware(tenant, std::move(req));
+  } else {
+    serveAeadFallback(tenant, req);
   }
 }
 
-void AccelService::serveOne(unsigned tenant, Request req) {
+void AccelService::serveOne(unsigned tenant) {
+  // In-flight blocks settle first so completions keep submission order.
+  settleTenant(tenant);
+  auto& q = queues_[tenant];
+  if (q.empty()) return;  // the settle resolved the rest of the queue
+  Request req = std::move(q.front());
+  q.pop_front();
   if (!tenant_active_[tenant]) {
     ++stats_.wrong_key_uses;
     complete(tenant, req, CompletionStatus::Rejected, ServedBy::None,
              aes::Block{});
-    return;
-  }
-  const HealthState st = monitor_.state();
-  if (st == HealthState::Quarantined || st == HealthState::Probation) {
-    serveFallback(tenant, req);
   } else {
-    serveHardware(tenant, std::move(req));
+    serveFallback(tenant, req);
   }
-}
-
-bool AccelService::serveBatchRing(unsigned tenant,
-                                  const std::vector<Request>& run) {
-  if (tenant >= ring_drvs_.size() || !ring_drvs_[tenant]) return false;
-  if (run.size() < cfg_.dma_ring_min_run) return false;
-  const std::size_t len = run.size() * 16;
-  if (len > kRingStagingMax) return false;
-  const TenantSpec& spec = tenants_[tenant];
-  auto& drv = *ring_drvs_[tenant];
-  const std::size_t base = kRingTenantSpan * tenant;
-  const std::size_t src = base + kRingStagingSrc;
-  const std::size_t dst = base + kRingStagingDst;
-
-  std::vector<std::uint8_t> staged(len);
-  for (std::size_t i = 0; i < run.size(); ++i)
-    std::copy(run[i].data.begin(), run[i].data.end(),
-              staged.begin() + 16 * i);
-  ring_mem_->writeBytes(src, staged);
-
-  DmaDescriptor d;
-  d.user = spec.user;
-  d.key_slot = spec.key_slot;
-  d.mode = run.front().decrypt ? DmaMode::EcbDecrypt : DmaMode::EcbEncrypt;
-  d.src = src;
-  d.dst = dst;
-  d.len = len;
-  const auto seq = drv.submitChain({d});
-  if (!seq) {
-    ++stats_.dma_ring_fallbacks;
-    return false;
-  }
-  // 1 block/cycle plus pipeline depth, with generous headroom for fault
-  // retries and a watchdog recovery; a transfer that outlives this budget
-  // is abandoned through a ring reset and re-served over MMIO.
-  const std::uint64_t budget = 16 * run.size() + 16384;
-  const DmaCompletion* c = drv.wait(*seq, budget);
-  if (c == nullptr) {
-    ring_eng_->ringReset(drv.channel());
-    drv.resync();
-    ++stats_.dma_ring_fallbacks;
-    return false;
-  }
-  if (c->status == DmaError::None) {
-    const auto out = ring_mem_->readBytes(dst, len);
-    ++stats_.dma_ring_runs;
-    stats_.dma_ring_blocks += run.size();
-    stats_.completed_hw += run.size();
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      aes::Block b;
-      std::copy(out.begin() + 16 * i, out.begin() + 16 * (i + 1), b.begin());
-      complete(tenant, run[i], CompletionStatus::Ok, ServedBy::Hardware, b);
-    }
-    return true;
-  }
-  if (c->status == DmaError::OutputSuppressed) {
-    // Same uniform-verdict argument as the MMIO batch path: suppression is
-    // a function of the tenant's label, identical for every block.
-    for (const auto& req : run) {
-      complete(tenant, req, CompletionStatus::Suppressed, ServedBy::Hardware,
-               aes::Block{});
-    }
-    return true;
-  }
-  ++stats_.dma_ring_fallbacks;  // typed refusal: re-serve over MMIO
-  return false;
-}
-
-void AccelService::serveBatchHardware(unsigned tenant,
-                                      std::vector<Request> run) {
-  if (serveBatchRing(tenant, run)) return;
-  auto& session = sessions_[tenant];
-  std::vector<aes::Block> blocks(run.size());
-  for (std::size_t i = 0; i < run.size(); ++i) blocks[i] = run[i].data;
-  const bool decrypt = run.front().decrypt;
-  const auto r = decrypt ? session.decryptBlocks(blocks)
-                         : session.encryptBlocks(blocks);
-  ++stats_.batched_runs;
-  stats_.batched_blocks += run.size();
-  if (r.has_value()) {
-    stats_.completed_hw += run.size();
-    for (std::size_t i = 0; i < run.size(); ++i) {
-      complete(tenant, run[i], CompletionStatus::Ok, ServedBy::Hardware,
-               (*r)[i]);
-    }
-    return;
-  }
-  if (r.status() == AccelStatus::Suppressed) {
-    // A suppression verdict is a function of the tenant's label and its
-    // key's confidentiality, so it is uniform across a single-tenant
-    // batch: every member is suppressed.
-    for (const auto& req : run) {
-      complete(tenant, req, CompletionStatus::Suppressed, ServedBy::Hardware,
-               aes::Block{});
-    }
-    return;
-  }
-  // Transient failure or submit rejection: hand every member back to the
-  // single-request path, which owns the requeue / key-reprovision policy.
-  // Queue order (and therefore per-tenant completion order) is preserved.
-  ++stats_.batch_fallbacks;
-  auto& q = queues_[tenant];
-  for (auto it = run.rbegin(); it != run.rend(); ++it) {
-    q.push_front(std::move(*it));
-  }
-  for (std::size_t i = 0; i < run.size() && !q.empty(); ++i) {
-    Request req = std::move(q.front());
-    q.pop_front();
-    serveOne(tenant, std::move(req));
-  }
-}
-
-unsigned AccelService::serveRun(unsigned tenant, unsigned max_run) {
-  auto& q = queues_[tenant];
-  if (q.empty()) return 0;
-  const HealthState st = monitor_.state();
-  const bool hw_path = tenant_active_[tenant] &&
-      (st == HealthState::Healthy || st == HealthState::Degraded);
-  unsigned run_len = 1;
-  if (hw_path && cfg_.batch_size > 1) {
-    const bool dir = q.front().decrypt;
-    while (run_len < max_run && run_len < cfg_.batch_size &&
-           run_len < q.size() && q[run_len].decrypt == dir) {
-      ++run_len;
-    }
-  }
-  if (run_len == 1) {
-    Request req = std::move(q.front());
-    q.pop_front();
-    serveOne(tenant, std::move(req));
-    return 1;
-  }
-  std::vector<Request> run;
-  run.reserve(run_len);
-  for (unsigned i = 0; i < run_len; ++i) {
-    run.push_back(std::move(q.front()));
-    q.pop_front();
-  }
-  serveBatchHardware(tenant, std::move(run));
-  return run_len;
+  releaseShed(tenant);
 }
 
 void AccelService::sampleWindowIfDue() {
@@ -783,24 +672,23 @@ void AccelService::runCanaries() {
 }
 
 unsigned AccelService::pump() {
+  const std::uint64_t settled_before = settled_;
   // One idle cycle per round models scheduling overhead and, crucially,
   // keeps the device clock (and quarantine residency) moving even when all
   // queues are empty.
-  acc_.tick();
+  tickAndCollect();
 
   if (monitor_.state() == HealthState::Quarantined &&
       monitor_.tryBeginProbation(acc_.cycle())) {
     logTransitions();
+    settleAll();  // canaries are synchronous session calls
     runCanaries();
   }
 
-  unsigned resolved = 0;
   const unsigned n = static_cast<unsigned>(tenants_.size());
   for (unsigned k = 0; k < n; ++k) {
     const unsigned t = (rr_next_ + k) % n;
     unsigned served = 0;
-    const std::size_t before = completions_[t].size();
-    const std::size_t before_aead = aead_completions_[t].size();
     // AEAD first: one whole GCM op is one quota unit, and serving it ahead
     // of the block queue keeps a long message from starving behind blocks.
     while (served < cfg_.quota_per_round && !aead_queues_[t].empty()) {
@@ -809,19 +697,33 @@ unsigned AccelService::pump() {
       serveAead(t, std::move(areq));
       ++served;
     }
-    while (served < cfg_.quota_per_round && !queues_[t].empty()) {
-      // A request the robustness path re-queues is re-popped here and
-      // charged against the quota again, exactly as it was pre-batching.
-      served += serveRun(t, cfg_.quota_per_round - served);
+    auto& q = queues_[t];
+    if (hardwarePath() && tenant_active_[t]) {
+      for (; served < cfg_.quota_per_round && inflight_[t] < q.size() &&
+             inflight_total_ < inflightCap();
+           ++served) {
+        issue(t);
+      }
+    } else {
+      for (; served < cfg_.quota_per_round && !q.empty(); ++served)
+        serveOne(t);
     }
-    resolved += static_cast<unsigned>(completions_[t].size() - before);
-    resolved +=
-        static_cast<unsigned>(aead_completions_[t].size() - before_aead);
   }
   if (n) rr_next_ = (rr_next_ + 1) % n;
 
+  // Tick until this round's blocks have entered the pipe. Bounded: a wedged
+  // pipe trips the head watchdogs, which take the blocks back.
+  auto waitingAtInput = [&] {
+    for (unsigned t = 0; t < n; ++t) {
+      if (inflight_[t] > 0 && acc_.pendingInputs(tenants_[t].user) > 0)
+        return true;
+    }
+    return false;
+  };
+  while (waitingAtInput()) tickAndCollect();
+
   sampleWindowIfDue();
-  return resolved;
+  return static_cast<unsigned>(settled_ - settled_before);
 }
 
 void AccelService::runUntilIdle(std::uint64_t max_device_cycles) {

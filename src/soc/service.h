@@ -4,7 +4,15 @@
 // overload it (the Fig. 2 SoC serving mutually distrusting users at cloud
 // traffic levels).
 //
-// Three cooperating mechanisms:
+// Four cooperating mechanisms:
+//
+//  * Pipelined issue: blocks from any mix of tenants ride the live pipe
+//    together (the paper's fine-grain sharing, Sec. 4). Each block is one
+//    ticket of the session's caller-clocked async API; the service owns the
+//    clock, keeps up to pipe-depth + overflow-buffer blocks in flight per
+//    engine, and settles verdicts in per-tenant submission order as blocks
+//    exit. The per-stage tags and the Fig. 8 meet-gated stall are what make
+//    the interleaving safe, so no drain separates tenants or runs.
 //
 //  * Admission control: per tenant a bounded submission queue and a fair
 //    per-round service quota; a global watermark applies backpressure when
@@ -32,7 +40,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,7 +47,6 @@
 #include "accel/driver.h"
 #include "aes/gcm.h"
 #include "aes/key_schedule.h"
-#include "soc/dma.h"
 #include "soc/health.h"
 #include "soc/metrics.h"
 
@@ -54,25 +60,24 @@ struct ServiceConfig {
   // Global watermark: new admissions are refused (backpressure to the
   // caller) while the total queued across tenants is at or above this.
   std::size_t global_high_watermark = 64;
-  // Blocks served per tenant per scheduling round (fair share).
+  // Blocks (and AEAD ops) issued per tenant per scheduling round (fair
+  // share). See pump() for the round contract.
   unsigned quota_per_round = 4;
-  // Batch submission: up to this many same-direction requests from one
-  // tenant's queue are drained into the pipeline back-to-back (one submit
-  // per cycle, all in flight), so K blocks cost ~K + pipeline-depth cycles
-  // instead of K x (depth + 1). 1 reproduces the historical one-at-a-time
-  // path. Batching never crosses tenants and never reorders within a
-  // tenant: completions surface in submission order.
-  unsigned batch_size = 1;
-  // Service-level retry budget per request: a request whose hardware serve
-  // ends in a transient failure is re-queued at the front this many times
-  // (it rides over to the fallback path if the breaker trips meanwhile).
+  // Service-level retry budget per request: a request whose hardware
+  // attempt ends in a transient failure (fault abort, drop, watchdog expiry)
+  // or a submit refusal is re-queued at the front this many times (it rides
+  // over to the fallback path if the breaker trips meanwhile). The service
+  // is the only owner of block retry: the pipelined issue path makes one
+  // device attempt per issue, with no retry inside the driver.
   unsigned max_requeues = 1;
   // Device cycles charged per software-fallback block, ticked on the
   // accelerator so quarantine residency and background scrubbing advance
   // while traffic is off the hardware.
   unsigned fallback_cycles_per_block = 40;
   HealthConfig health;
-  // Driver options for the Healthy hardware path…
+  // Driver options for the Healthy hardware path (AEAD ops run through the
+  // session's synchronous retrying path; blocks use only timeout_cycles, as
+  // the per-block watchdog)…
   accel::SessionOptions healthy_opts{.timeout_cycles = 1024,
                                      .max_retries = 2,
                                      .backoff_cycles = 16};
@@ -85,17 +90,6 @@ struct ServiceConfig {
   accel::SessionOptions canary_opts{.timeout_cycles = 512,
                                     .max_retries = 1,
                                     .backoff_cycles = 8};
-  // Descriptor-ring data path: when enabled, a same-direction run of at
-  // least `dma_ring_min_run` blocks is staged into the tenant's tagged
-  // host-memory pages and moved through the hardened DmaRingEngine as one
-  // scatter-gather ECB descriptor, instead of one MMIO submit per block.
-  // Every tenant gets its own ring channel and staging pages labeled with
-  // its authority, so the ring path is under exactly the same label
-  // enforcement as the MMIO path. A ring refusal or stall falls back to the
-  // session batch path (counted in dma_ring_fallbacks); defaults keep the
-  // ring off so existing deployments are byte-for-byte unchanged.
-  bool use_dma_ring = false;
-  unsigned dma_ring_min_run = 16;
 };
 
 // One tenant as the service sees it: an accelerator principal plus the key
@@ -172,11 +166,6 @@ struct ServiceStats {
   std::uint64_t fallback_suppressed = 0;  // label check refused in degraded mode
   std::uint64_t hw_transient_failures = 0;
   std::uint64_t requeues = 0;
-  std::uint64_t batched_runs = 0;    // multi-block batches submitted
-  std::uint64_t batched_blocks = 0;  // blocks that rode a multi-block batch
-  // Batches whose verdict was transient/rejected: the member requests were
-  // re-queued and re-served through the single-block robustness path.
-  std::uint64_t batch_fallbacks = 0;
   std::uint64_t canary_rounds = 0;
   std::uint64_t canary_failures = 0;
   std::uint64_t key_reprovisions = 0;
@@ -192,10 +181,6 @@ struct ServiceStats {
   // that this stays 0: migration drains and deactivates before it zeroizes,
   // so no request ever spans the key handover.
   std::uint64_t wrong_key_uses = 0;
-  // Descriptor-ring data path (ServiceConfig::use_dma_ring).
-  std::uint64_t dma_ring_runs = 0;    // runs moved as ring descriptors
-  std::uint64_t dma_ring_blocks = 0;  // blocks those runs carried
-  std::uint64_t dma_ring_fallbacks = 0;  // ring refusals re-served via MMIO
 
   std::string toJson() const;
 
@@ -209,13 +194,16 @@ class AccelService {
 
   // Provisions the tenant's key into its slot (throws on refusal — a
   // legitimate setup step must not fail silently) and registers its queue.
-  // Returns the tenant index used by submit()/fetch().
+  // Returns the tenant index used by submit()/fetch(). One active tenant
+  // per accelerator user: two would share the user's device output queue
+  // while both have blocks in flight.
   unsigned addTenant(const TenantSpec& spec);
 
   // Non-throwing variant for callers that can degrade gracefully (the
   // elastic pool's migration path: a refused provisioning at the target
   // must leave the source untouched, not unwind the stack). Returns the
-  // tenant index, or nullopt when the device refuses the key load.
+  // tenant index, or nullopt when the device refuses the key load or the
+  // user already backs an active tenant.
   std::optional<unsigned> tryAddTenant(const TenantSpec& spec);
 
   // Retire a tenant: future submits are refused (AdmitError::TenantRetired)
@@ -231,8 +219,10 @@ class AccelService {
     return tenants_.at(tenant);
   }
 
-  // Pump until this tenant's queues are empty or the cycle budget is spent.
-  // Returns true when the tenant is fully drained (the migration barrier).
+  // Pump until this tenant's queues are empty — in-flight blocks settled,
+  // and none of its blocks left in the device's input queue — or the cycle
+  // budget is spent. Returns true when the tenant is fully drained (the
+  // migration barrier).
   bool drainTenant(unsigned tenant, std::uint64_t max_device_cycles);
 
   // Hard breaker trip from outside the error-budget window (the pool-level
@@ -241,8 +231,10 @@ class AccelService {
   void forceQuarantine(const std::string& reason);
 
   // Offer one block. Admission control may refuse it (result.admitted ==
-  // false) or, under ShedOldest, evict the tenant's oldest queued request
-  // (which then surfaces as a Shed completion).
+  // false) or, under ShedOldest, evict the tenant's oldest request still
+  // waiting to issue (which then surfaces as a Shed completion). The
+  // tenant's queue_depth bounds waiting requests; blocks already in the
+  // device are bounded by the engine's in-flight cap instead.
   SubmitResult submit(unsigned tenant, const aes::Block& data,
                       bool decrypt = false);
 
@@ -267,20 +259,37 @@ class AccelService {
     return aead_queues_.at(tenant).size();
   }
 
-  // One scheduling round: serve up to quota_per_round blocks per tenant
-  // (hardware or fallback per the current health state), advance the error
-  // budget window, and run canary probes when probation opens. Returns the
-  // number of requests resolved this round.
+  // One scheduling round. The round contract:
+  //  1. one idle tick (scheduling overhead; keeps the clock and quarantine
+  //     residency moving when every queue is empty), then settle whatever
+  //     exited;
+  //  2. canary probes when probation opens;
+  //  3. per tenant, round-robin: up to quota_per_round units — AEAD ops
+  //     first (served synchronously), then blocks. On the hardware path a
+  //     block is issued into the live pipe, never waited for; at most
+  //     pipeline().depth() + out_buffer_depth blocks are in flight per
+  //     engine (derived from the device, so there is no knob). On the
+  //     fallback path a block is served in software;
+  //  4. tick until this round's blocks have ENTERED the pipe.
+  // Verdicts settle in per-tenant submission order as blocks exit — in this
+  // round or a later one. A head that ends FaultAborted, Dropped, refused
+  // at submit, or past its watchdog (the session's timeout_cycles) goes
+  // back to the queue front together with every block behind it
+  // (go-back-N), so completion order is kept and each ticket gets exactly
+  // one verdict. Returns the number of requests resolved this round.
   unsigned pump();
 
-  // Pump until every queue is empty or the device-cycle budget is spent.
+  // Pump until every queue is empty (in-flight blocks settled) or the
+  // device-cycle budget is spent.
   void runUntilIdle(std::uint64_t max_device_cycles);
 
   HealthState health() const { return monitor_.state(); }
   const HealthMonitor& monitor() const { return monitor_; }
   const ServiceStats& stats() const { return stats_; }
+  // Requests admitted but not yet settled: waiting, in the device, or
+  // shed but still ordered behind older blocks in the device.
   std::size_t queued(unsigned tenant) const {
-    return queues_.at(tenant).size();
+    return queues_.at(tenant).size() + shed_.at(tenant).size();
   }
   std::size_t totalQueued() const;
   std::uint64_t completedOf(unsigned tenant) const {
@@ -297,6 +306,9 @@ class AccelService {
     bool decrypt = false;
     std::uint64_t submit_cycle = 0;
     unsigned requeues = 0;
+    // Current device attempt (valid while the request is in flight).
+    std::uint64_t session_ticket = 0;
+    std::uint64_t issue_cycle = 0;
   };
 
   struct AeadRequest {
@@ -312,18 +324,29 @@ class AccelService {
 
   void logTransitions();
   void applyStateOptions();
-  // Serve up to `max_run` requests from the tenant's queue head — a
-  // contiguous same-direction run goes through the batched hardware path,
-  // everything else through the single-request path. Returns the number of
-  // requests consumed from the queue.
-  unsigned serveRun(unsigned tenant, unsigned max_run);
-  // Try the descriptor-ring path for a same-direction run; true when the
-  // run was fully resolved (Ok or Suppressed), false to fall back.
-  bool serveBatchRing(unsigned tenant, const std::vector<Request>& run);
-  void setupTenantRing(unsigned tenant);
-  void serveBatchHardware(unsigned tenant, std::vector<Request> run);
-  void serveOne(unsigned tenant, Request req);
-  void serveHardware(unsigned tenant, Request req);
+  bool hardwarePath() const;
+  std::size_t inflightCap() const;
+  // Issue the tenant's next waiting block into the pipe (no ticking).
+  void issue(unsigned tenant);
+  // Settle every tenant's in-flight heads that have exited (no ticking).
+  void collect();
+  void tickAndCollect();
+  // Tick until the tenant (or every tenant) has nothing in flight — before
+  // any synchronous session call, whose drain would strand async verdicts.
+  void settleTenant(unsigned tenant);
+  void settleAll();
+  // Go-back-N: cancel the tenant's in-flight attempts and apply the retry
+  // policy to the failed head (`st`); the rest wait at the queue front.
+  void goBack(unsigned tenant, accel::AccelStatus st);
+  // Emit the Shed verdicts no older queued request is still ahead of; call
+  // after every head pop.
+  void releaseShed(unsigned tenant);
+  // Retry policy for a failed hardware attempt (transient, or refused at
+  // submit): true when the request may ride again, its requeue charged;
+  // false when `st` becomes its verdict.
+  bool retryAfter(unsigned tenant, accel::AccelStatus st, unsigned& requeues);
+  // Fallback path (or refusal, for a retired tenant) for the queue head.
+  void serveOne(unsigned tenant);
   void serveFallback(unsigned tenant, const Request& req);
   void complete(unsigned tenant, const Request& req, CompletionStatus st,
                 ServedBy by, const aes::Block& data);
@@ -344,18 +367,21 @@ class AccelService {
   std::vector<TenantSpec> tenants_;
   std::vector<accel::AccelSession> sessions_;
   std::vector<aes::ExpandedKey> golden_;  // fallback + canary expectations
+  // Per tenant, oldest first: the first inflight_[t] requests are in the
+  // device, the rest wait to issue.
   std::vector<std::deque<Request>> queues_;
+  std::vector<std::size_t> inflight_;
+  // Per tenant: shed requests whose Shed verdict waits for the older
+  // requests still in the queue to settle.
+  std::vector<std::vector<Request>> shed_;
+  std::size_t inflight_total_ = 0;
   std::vector<std::deque<Completion>> completions_;
   std::vector<std::deque<AeadRequest>> aead_queues_;
   std::vector<std::deque<AeadCompletion>> aead_completions_;
   std::vector<char> tenant_active_;  // 0 after deactivateTenant
   std::vector<std::uint64_t> completed_per_tenant_;
   ServiceStats stats_;
-  // Descriptor-ring data path (nullptr members when use_dma_ring is off or
-  // the tenant arena is exhausted — those tenants use the MMIO path).
-  std::unique_ptr<HostMemory> ring_mem_;
-  std::unique_ptr<DmaRingEngine> ring_eng_;
-  std::vector<std::unique_ptr<DmaRingDriver>> ring_drvs_;
+  std::uint64_t settled_ = 0;  // completions recorded (pump's return value)
   std::uint64_t next_ticket_ = 1;
   std::uint64_t window_start_cycle_ = 0;
   accel::SessionTelemetry window_base_;  // telemetry at last window sample

@@ -34,6 +34,33 @@ TEST(TimingChannel, ProtectedKeepsEveLatencyFlat) {
   EXPECT_LT(prot.eve_latency.stddev, base.eve_latency.stddev / 4.0);
 }
 
+// Fig. 8 through the serving stack: Alice and Eve co-resident on one pool
+// shard, their blocks interleaved in the live pipe. Alice's secret drives
+// her fetch cadence, plaintexts, key and encrypt/decrypt mix; Eve's per-op
+// completion cycles must not move.
+TEST(TimingChannel, ServiceLevelEveTimingIndependentOfAliceSecret) {
+  TimingChannelParams p;
+  p.secret_bits = 32;
+  const auto a = runServiceTimingChannelAttack(p);
+  p.seed = 2;
+  const auto b = runServiceTimingChannelAttack(p);
+  ASSERT_EQ(a.eve_complete_cycles.size(), 32u * 4u);
+  EXPECT_EQ(a.eve_complete_cycles, b.eve_complete_cycles);
+  EXPECT_EQ(a.mi_bits, 0.0);
+  EXPECT_EQ(b.mi_bits, 0.0);
+}
+
+// The control: submit volume is a public scheduling signal the service does
+// not hide, and the same decoder reads it — so the zero above is a closed
+// channel, not a blind decoder.
+TEST(TimingChannel, ServiceLevelVolumeControlIsDecoded) {
+  TimingChannelParams p;
+  p.secret_bits = 32;
+  const auto r = runServiceTimingChannelAttack(p, /*modulate_volume=*/true);
+  EXPECT_GT(r.accuracy, 0.9);
+  EXPECT_GT(r.mi_bits, 0.5);
+}
+
 // --- Fig. 5 / Section 3.2.3: scratchpad overflow ----------------------------------
 
 TEST(ScratchpadOverflow, BaselineCorruptsAliceKey) {

@@ -64,7 +64,6 @@ TEST(MigrationStormSoak, FortySeedStormHoldsAllInvariants) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     PoolConfig cfg;
     cfg.shards = 3;
-    cfg.service.batch_size = 4;
     cfg.service.quota_per_round = 16;
     cfg.service.global_high_watermark = 4096;
     cfg.service.health.quarantine_residency_cycles = 512;

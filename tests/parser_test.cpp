@@ -167,6 +167,10 @@ struct ErrorCase {
   const char* expect_substring;
 };
 
+// Without this, gtest prints a case as the raw bytes of its two pointers, and
+// that text ends up in each ctest name, which then changes on every build.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.expect_substring; }
+
 class ParserErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 
 TEST_P(ParserErrorTest, ReportsLocatedError) {

@@ -38,10 +38,9 @@ aes::Block patternBlock(std::uint8_t seed) {
   return b;
 }
 
-PoolConfig poolConfig(unsigned shards, unsigned batch) {
+PoolConfig poolConfig(unsigned shards) {
   PoolConfig cfg;
   cfg.shards = shards;
-  cfg.service.batch_size = batch;
   cfg.service.quota_per_round = 16;
   cfg.service.global_high_watermark = 4096;
   return cfg;
@@ -88,7 +87,7 @@ unsigned countEvents(const accel::AesAccelerator& eng,
 // --- Rendezvous placement under hot-add ------------------------------------
 
 TEST(PoolElastic, HotAddRemapsOnlyTenantsWhoseHomeIsTheNewShard) {
-  EnginePool pool{poolConfig(4, 1)};
+  EnginePool pool{poolConfig(4)};
   const unsigned kNames = 96;
   std::vector<unsigned> before;
   for (unsigned i = 0; i < kNames; ++i) {
@@ -116,7 +115,7 @@ TEST(PoolElastic, HotAddRemapsOnlyTenantsWhoseHomeIsTheNewShard) {
 }
 
 TEST(PoolElastic, RetiredShardLeavesPlacementSet) {
-  EnginePool pool{poolConfig(3, 1)};
+  EnginePool pool{poolConfig(3)};
   const unsigned victim = 1;
   ASSERT_TRUE(pool.retireShard(victim));
   EXPECT_TRUE(pool.shardRetired(victim));
@@ -134,7 +133,7 @@ TEST(PoolElastic, MigrationUnderInFlightBatchesMatchesGoldenRun) {
   // must be bit-identical to the golden no-migration run — migration is
   // invisible in the data plane.
   auto run = [](bool migrate) {
-    EnginePool pool{poolConfig(2, 8)};
+    EnginePool pool{poolConfig(2)};
     const unsigned kTenants = 4, kBlocks = 24;
     std::vector<unsigned> ids;
     for (unsigned t = 0; t < kTenants; ++t) ids.push_back(addTenantN(pool, t));
@@ -190,7 +189,7 @@ TEST(PoolElastic, MigrationUnderInFlightBatchesMatchesGoldenRun) {
 }
 
 TEST(PoolElastic, MigrationZeroizesSourceAndAuditsBothRings) {
-  EnginePool pool{poolConfig(2, 4)};
+  EnginePool pool{poolConfig(2)};
   const unsigned kTenants = 4;
   std::vector<unsigned> ids;
   for (unsigned t = 0; t < kTenants; ++t) ids.push_back(addTenantN(pool, t));
@@ -250,7 +249,7 @@ TEST(PoolElastic, MigrationZeroizesSourceAndAuditsBothRings) {
 }
 
 TEST(PoolElastic, MigrationRefusalsAreTypedAndLeaveSourceServing) {
-  EnginePool pool{poolConfig(2, 1)};
+  EnginePool pool{poolConfig(2)};
   const unsigned a = addTenantN(pool, 0);
   EXPECT_EQ(pool.migrateTenant(a, pool.shardOf(a)).error,
             MigrateError::SameShard);
@@ -279,7 +278,7 @@ TEST(PoolElastic, MigrationRefusalsAreTypedAndLeaveSourceServing) {
 }
 
 TEST(PoolElastic, RetireShardEvacuatesZeroizesAndKeepsTenantsServing) {
-  EnginePool pool{poolConfig(3, 4)};
+  EnginePool pool{poolConfig(3)};
   const unsigned kTenants = 6;
   std::vector<unsigned> ids;
   for (unsigned t = 0; t < kTenants; ++t) ids.push_back(addTenantN(pool, t));
@@ -312,7 +311,7 @@ TEST(PoolElastic, RetireShardEvacuatesZeroizesAndKeepsTenantsServing) {
 // --- Supervisor policy ------------------------------------------------------
 
 TEST(PoolSupervisorPolicy, QuarantineTriggersEvacuationToHealthyShards) {
-  EnginePool pool{poolConfig(3, 4)};
+  EnginePool pool{poolConfig(3)};
   std::vector<unsigned> ids;
   for (unsigned t = 0; t < 6; ++t) ids.push_back(addTenantN(pool, t));
   PoolSupervisor sup{pool, SupervisorConfig{}};
@@ -339,7 +338,7 @@ TEST(PoolSupervisorPolicy, QuarantineTriggersEvacuationToHealthyShards) {
 }
 
 TEST(PoolSupervisorPolicy, SustainedBackpressureHotAddsWithHysteresis) {
-  PoolConfig cfg = poolConfig(1, 1);
+  PoolConfig cfg = poolConfig(1);
   cfg.service.global_high_watermark = 8;  // tiny: easy to overrun
   EnginePool pool{cfg};
   const unsigned a = addTenantN(pool, 0);
@@ -374,7 +373,7 @@ TEST(PoolSupervisorPolicy, SustainedBackpressureHotAddsWithHysteresis) {
 // path under a stale or zeroized key.
 TEST(PoolElastic, SixteenSeedFaultSweepMigrationStormKeepsWrongKeyUsesZero) {
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
-    PoolConfig cfg = poolConfig(3, 4);
+    PoolConfig cfg = poolConfig(3);
     cfg.service.health.quarantine_residency_cycles = 512;
     EnginePool pool{cfg};
     std::vector<unsigned> ids;

@@ -1,8 +1,9 @@
-// EnginePool coverage: sticky/spill placement and capacity limits, batched
+// EnginePool coverage: sticky/spill placement and capacity limits, pipelined
 // correctness against the golden software AES, per-shard fault isolation
 // (a fault in shard 0's key store never perturbs shard 1), and the
-// timing-leak argument for batching — one tenant's completion-cycle
-// sequence is invariant under another tenant's plaintexts.
+// timing-leak argument for cross-tenant pipelining — one tenant's
+// completion-cycle sequence is invariant under another tenant's
+// plaintexts, directions and keys.
 
 #include <gtest/gtest.h>
 
@@ -33,10 +34,9 @@ aes::Block patternBlock(std::uint8_t seed) {
   return b;
 }
 
-PoolConfig poolConfig(unsigned shards, unsigned batch) {
+PoolConfig poolConfig(unsigned shards) {
   PoolConfig cfg;
   cfg.shards = shards;
-  cfg.service.batch_size = batch;
   cfg.service.quota_per_round = 16;
   cfg.service.global_high_watermark = 4096;
   return cfg;
@@ -54,8 +54,8 @@ unsigned addTenantN(EnginePool& pool, unsigned n) {
 }
 
 TEST(PoolPlacement, StickyDeterministicAndSpillBounded) {
-  EnginePool a{poolConfig(4, 1)};
-  EnginePool b{poolConfig(4, 1)};
+  EnginePool a{poolConfig(4)};
+  EnginePool b{poolConfig(4)};
   for (unsigned t = 0; t < 12; ++t) {
     addTenantN(a, t);
     addTenantN(b, t);
@@ -75,7 +75,7 @@ TEST(PoolPlacement, StickyDeterministicAndSpillBounded) {
 }
 
 TEST(PoolPlacement, CapacityIsSevenTenantsPerShardThenTypedRejection) {
-  EnginePool pool{poolConfig(2, 1)};
+  EnginePool pool{poolConfig(2)};
   const std::size_t cap =
       2 * (accel::kRoundKeySlots - 1);  // slot 0 reserved per shard
   for (unsigned t = 0; t < cap; ++t) addTenantN(pool, t);
@@ -94,7 +94,7 @@ TEST(PoolPlacement, CapacityIsSevenTenantsPerShardThenTypedRejection) {
 }
 
 TEST(PoolBatch, BatchedResultsMatchGoldenAesInSubmissionOrder) {
-  EnginePool pool{poolConfig(2, 16)};
+  EnginePool pool{poolConfig(2)};
   const unsigned kTenants = 4, kBlocks = 24;
   std::vector<unsigned> ids;
   std::vector<aes::ExpandedKey> golden;
@@ -109,7 +109,20 @@ TEST(PoolBatch, BatchedResultsMatchGoldenAesInSubmissionOrder) {
       ASSERT_TRUE(r.admitted);
     }
   }
+  std::vector<std::uint64_t> start;
+  for (unsigned s = 0; s < pool.shards(); ++s)
+    start.push_back(pool.shardEngine(s).cycle());
   pool.runUntilIdle(100000);
+
+  // Pipelining: a shard's K blocks, from any mix of its tenants, all finish
+  // within K + pipe depth cycles plus one scheduling tick per round — no
+  // drain between tenants or runs.
+  for (unsigned s = 0; s < pool.shards(); ++s) {
+    const std::uint64_t k = kBlocks * pool.tenantsOn(s);
+    const auto& eng = pool.shardEngine(s);
+    EXPECT_LE(eng.cycle() - start[s], k + eng.pipeline().depth() + 8)
+        << "shard " << s;
+  }
 
   for (unsigned t = 0; t < kTenants; ++t) {
     // Completions surface oldest-first in exactly submission order, each
@@ -126,14 +139,11 @@ TEST(PoolBatch, BatchedResultsMatchGoldenAesInSubmissionOrder) {
     EXPECT_FALSE(pool.fetch(ids[t]).has_value());
   }
 
-  const ServiceStats s = pool.aggregateStats();
-  EXPECT_EQ(s.completed_hw, kTenants * kBlocks);
-  EXPECT_GT(s.batched_runs, 0u);
-  EXPECT_GT(s.batched_blocks, 0u);
+  EXPECT_EQ(pool.aggregateStats().completed_hw, kTenants * kBlocks);
 }
 
 TEST(PoolIsolation, FaultInShardZeroNeverPerturbsShardOne) {
-  EnginePool pool{poolConfig(2, 8)};
+  EnginePool pool{poolConfig(2)};
   // Fill both shards, then pick one victim tenant per shard.
   std::vector<unsigned> ids;
   for (unsigned t = 0; t < 6; ++t) ids.push_back(addTenantN(pool, t));
@@ -176,17 +186,24 @@ TEST(PoolIsolation, FaultInShardZeroNeverPerturbsShardOne) {
   EXPECT_EQ(resolved0, 8u);
 }
 
-// The batching timing-leak argument: tenant B's completion-cycle sequence
-// must not depend on tenant A's DATA. (It may depend on A's traffic
-// volume — that is the scheduler's public round-robin, not a secret.)
+// The pipelining timing-leak argument: tenant B's completion-cycle sequence
+// must not depend on tenant A's data, direction or key, even though their
+// blocks share the pipe. (It may depend on A's traffic volume — that is the
+// scheduler's public round-robin, not a secret.)
 TEST(PoolTiming, CompletionCyclesInvariantUnderOtherTenantsPlaintexts) {
-  auto run = [](std::uint8_t a_seed) {
-    EnginePool pool{poolConfig(1, 8)};  // one shard => A and B co-resident
-    const unsigned a = addTenantN(pool, 0);
+  auto run = [](std::uint8_t a_seed, bool a_decrypt, unsigned a_key) {
+    EnginePool pool{poolConfig(1)};  // one shard => A and B co-resident
+    PoolTenantSpec spec;
+    spec.name = "tenant-0";
+    spec.category = 1;
+    spec.key = keyOf(a_key);
+    spec.queue_depth = 64;
+    const unsigned a = pool.addTenant(spec).tenant;
     const unsigned b = addTenantN(pool, 1);
     for (unsigned i = 0; i < 16; ++i) {
       EXPECT_TRUE(
-          pool.submit(a, patternBlock(static_cast<std::uint8_t>(a_seed + i)))
+          pool.submit(a, patternBlock(static_cast<std::uint8_t>(a_seed + i)),
+                      a_decrypt && i % 3 != 0)
               .admitted);
       EXPECT_TRUE(pool.submit(b, patternBlock(i)).admitted);
     }
@@ -198,10 +215,12 @@ TEST(PoolTiming, CompletionCyclesInvariantUnderOtherTenantsPlaintexts) {
     }
     return cycles;
   };
-  const auto base = run(0x00);
-  const auto other = run(0xa7);
+  const auto base = run(0x00, false, 0);
   ASSERT_EQ(base.size(), 16u);
-  EXPECT_EQ(base, other);
+  EXPECT_EQ(base, run(0xa7, false, 0));  // plaintexts
+  EXPECT_EQ(base, run(0x00, true, 0));   // encrypt/decrypt mix
+  EXPECT_EQ(base, run(0x00, false, 9));  // key
+  EXPECT_EQ(base, run(0x5c, true, 9));   // all three at once
 }
 
 }  // namespace
