@@ -5,9 +5,10 @@
 // information to ~0. Sweeps the window length to show the channel capacity
 // shape, and statically verifies the gated/ungated stall logic. The same
 // experiment is then run one layer up, through the serving stack (Alice and
-// Eve as EnginePool tenants whose blocks share the live pipe): Eve's per-op
-// completion cycles must be bit-identical across Alice's secrets (`JSON `
-// record `fig8_service`, MI gated at 0 in CI).
+// Eve as EnginePool tenants whose blocks, or GCM ops, share the live pipe):
+// Eve's per-op completion cycles must be bit-identical across Alice's
+// secrets (`JSON` records `fig8_service`, one per traffic kind and window,
+// MI gated at 0 in CI).
 
 #include <benchmark/benchmark.h>
 
@@ -51,27 +52,34 @@ void printFig8() {
 
   std::printf(
       "\nThrough the serving stack (one pool shard; Alice's secret drives\n"
-      "her fetch cadence, plaintexts, key and encrypt/decrypt mix):\n");
-  std::printf("%-10s %-12s %-10s %-22s %-14s\n", "window", "MI(bits)",
-              "accuracy", "eve trace vs secret'", "volume control");
-  for (const unsigned window : {64u, 128u}) {
-    TimingChannelParams p;
-    p.window = window;
-    p.secret_bits = 48;
-    const auto r = soc::runServiceTimingChannelAttack(p);
-    p.seed = 2;
-    const auto other = soc::runServiceTimingChannelAttack(p);
-    const bool identical = r.eve_complete_cycles == other.eve_complete_cycles;
-    const auto control =
-        soc::runServiceTimingChannelAttack(p, /*modulate_volume=*/true);
-    std::printf("%-10u %-12.3f %-10.2f %-22s MI %.3f\n", window, r.mi_bits,
-                r.accuracy, identical ? "bit-identical" : "DIFFERS",
-                control.mi_bits);
-    std::printf(
-        "JSON {\"bench\":\"fig8_service\",\"window\":%u,"
-        "\"mi_bits\":%.4f,\"mi_bits_other_secret\":%.4f,"
-        "\"eve_trace_mismatch\":%d,\"control_mi_bits\":%.4f}\n",
-        window, r.mi_bits, other.mi_bits, identical ? 0 : 1, control.mi_bits);
+      "her fetch cadence, data, key and encrypt/decrypt mix — or, with\n"
+      "AEAD traffic, her GCM plaintexts, AAD and tag validity):\n");
+  std::printf("%-8s %-10s %-12s %-10s %-22s %-14s\n", "traffic", "window",
+              "MI(bits)", "accuracy", "eve trace vs secret'", "volume control");
+  for (const bool aead : {false, true}) {
+    const auto attack = aead ? soc::runServiceAeadTimingChannelAttack
+                             : soc::runServiceTimingChannelAttack;
+    const char* traffic = aead ? "aead" : "blocks";
+    for (const unsigned window : {64u, 128u}) {
+      TimingChannelParams p;
+      p.window = window;
+      p.secret_bits = 48;
+      const auto r = attack(p, false);
+      p.seed = 2;
+      const auto other = attack(p, false);
+      const bool identical =
+          r.eve_complete_cycles == other.eve_complete_cycles;
+      const auto control = attack(p, /*modulate_volume=*/true);
+      std::printf("%-8s %-10u %-12.3f %-10.2f %-22s MI %.3f\n", traffic,
+                  window, r.mi_bits, r.accuracy,
+                  identical ? "bit-identical" : "DIFFERS", control.mi_bits);
+      std::printf(
+          "JSON {\"bench\":\"fig8_service\",\"traffic\":\"%s\","
+          "\"window\":%u,\"mi_bits\":%.4f,\"mi_bits_other_secret\":%.4f,"
+          "\"eve_trace_mismatch\":%d,\"control_mi_bits\":%.4f}\n",
+          traffic, window, r.mi_bits, other.mi_bits, identical ? 0 : 1,
+          control.mi_bits);
+    }
   }
   std::printf(
       "(The control modulates Alice's submit volume, public scheduling\n"

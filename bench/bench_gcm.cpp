@@ -263,9 +263,10 @@ int main() {
       "\nThe device rows carry the whole AEAD (J0, keystream, GHASH, tag)\n"
       "under label enforcement; the host_ghash rows spend device cycles on\n"
       "keystream only (their host GHASH work is not on this clock) and\n"
-      "leave H exposed in host memory. The keystream blocks ride the\n"
-      "service's pipelined block path, while each GCM op is served whole,\n"
-      "one at a time per shard, so [SLOW] marks where that serial AEAD\n"
-      "path falls more than 2x behind.\n");
+      "leave H exposed in host memory. Both ride the service's pipelined\n"
+      "issue: keystream blocks as blocks, and GCM ops overlapped up to the\n"
+      "sequencer's op slots, each issued once the previous op's blocks\n"
+      "have entered the pipe. [SLOW] marks where the device path falls\n"
+      "more than 2x behind.\n");
   return 0;
 }

@@ -54,8 +54,7 @@ struct Harness {
           c.health.quarantine_threshold = 0.40;
           c.health.recovery_windows = 1;
           c.health.quarantine_residency_cycles = 1024;
-          c.healthy_opts = {.timeout_cycles = 400, .max_retries = 2,
-                            .backoff_cycles = 8};
+          c.healthy_opts = {.timeout_cycles = 400};
           return c;
         }()},
         svc{acc, cfg} {

@@ -392,48 +392,99 @@ AccelResult<aes::Bytes> AccelSession::cbcDecrypt(const aes::Bytes& data,
   return out;
 }
 
-AccelResult<GcmResponse> AccelSession::runGcm(GcmRequest req) {
-  const std::uint64_t start_cycle = acc_.cycle();
+std::uint64_t AccelSession::beginGcm(GcmRequest req) {
+  req.req_id = next_req_++;
   req.user = user_;
   req.key_slot = key_slot_;
+  AsyncGcm g;
   // Watchdog budget: the op needs one AES pass per keystream/H/J0 block
   // plus one GHASH pass per hashed block on top of the configured timeout.
-  const std::uint64_t blocks =
-      (req.data.size() + 15) / 16 + (req.aad.size() + 15) / 16 +
-      (req.iv.size() + 15) / 16;
+  const std::uint64_t blocks = (req.data.size() + 15) / 16 +
+                               (req.aad.size() + 15) / 16 +
+                               (req.iv.size() + 15) / 16;
+  g.budget = opts_.timeout_cycles + 2 * blocks;
+  g.begin_cycle = acc_.cycle();
+  const std::uint64_t ticket = req.req_id;
+  g.req = std::move(req);
+  gcmSubmit(async_gcm_.emplace(ticket, std::move(g)).first->second);
+  return ticket;
+}
+
+void AccelSession::gcmSubmit(AsyncGcm& g) {
+  // Every op slot busy: wait (backpressure). A refusal with a free slot is
+  // deterministic (unusable key slot, empty IV) and is the op's verdict.
+  if (acc_.gcm().activeOps() >= kGcmOps) return;
+  if (acc_.submitGcm(std::move(g.req))) {
+    g.submitted = true;
+  } else {
+    g.rejected = true;
+  }
+}
+
+void AccelSession::gcmDrain() {
+  while (auto r = acc_.fetchGcm(user_)) {
+    auto it = async_gcm_.find(r->req_id);
+    // Responses of retired or cancelled tickets are dropped.
+    if (it != async_gcm_.end() && !it->second.resp)
+      it->second.resp = std::move(*r);
+  }
+}
+
+bool AccelSession::pollGcm(std::uint64_t ticket) {
+  auto it = async_gcm_.find(ticket);
+  if (it == async_gcm_.end()) return true;  // unknown or already retired
+  AsyncGcm& g = it->second;
+  if (!g.submitted && !g.rejected) gcmSubmit(g);
+  gcmDrain();
+  return gcmTerminal(g);
+}
+
+bool AccelSession::gcmWaitingForSlot(std::uint64_t ticket) const {
+  auto it = async_gcm_.find(ticket);
+  return it != async_gcm_.end() && !it->second.submitted &&
+         !it->second.rejected;
+}
+
+AccelResult<GcmResponse> AccelSession::retireGcm(std::uint64_t ticket) {
+  auto it = async_gcm_.find(ticket);
+  if (it == async_gcm_.end()) return AccelStatus::Rejected;
+  const AsyncGcm& g = it->second;
+  AccelResult<GcmResponse> r = AccelStatus::Timeout;
+  if (g.rejected) {
+    r = AccelStatus::Rejected;
+  } else if (g.resp && g.resp->suppressed) {
+    r = AccelStatus::Suppressed;
+  } else if (g.resp && g.resp->auth_failed) {
+    r = AccelStatus::AuthFailed;
+  } else if (g.resp && g.resp->fault_aborted) {
+    r = AccelStatus::FaultAborted;
+  } else if (g.resp) {
+    r = std::move(*it->second.resp);
+  }
+  async_gcm_.erase(it);
+  return r;
+}
+
+AccelResult<GcmResponse> AccelSession::finishGcm(std::uint64_t ticket) {
+  auto r = retireGcm(ticket);
+  (void)finishVerdict(r.status(), acc_.cycle());
+  return r;
+}
+
+void AccelSession::cancelGcm(std::uint64_t ticket) { async_gcm_.erase(ticket); }
+
+AccelResult<GcmResponse> AccelSession::runGcm(GcmRequest req) {
+  const std::uint64_t start_cycle = acc_.cycle();
   for (unsigned attempt = 0;; ++attempt) {
-    req.req_id = next_req_++;
-    if (!acc_.submitGcm(req))
-      return finishVerdict(AccelStatus::Rejected, start_cycle);
-    const std::uint64_t attempt_start = acc_.cycle();
-    std::optional<GcmResponse> got;
-    while (true) {
-      acc_.tick();
-      while (auto r = acc_.fetchGcm(user_)) {
-        if (r->req_id == req.req_id) {
-          got = std::move(*r);
-          break;  // responses from abandoned attempts are discarded
-        }
-      }
-      if (got.has_value()) break;
-      if (acc_.cycle() - attempt_start > opts_.timeout_cycles + 2 * blocks)
-        break;
+    const std::uint64_t ticket = beginGcm(req);
+    while (!pollGcm(ticket)) acc_.tick();
+    auto r = retireGcm(ticket);
+    // Suppressed and AuthFailed are final verdicts, Rejected is
+    // deterministic; only transient failures retry.
+    if (!isRetryable(r.status()) || attempt >= opts_.max_retries) {
+      (void)finishVerdict(r.status(), start_cycle);
+      return r;
     }
-    AccelStatus verdict;
-    if (!got.has_value()) {
-      verdict = AccelStatus::Timeout;
-    } else if (got->suppressed) {
-      return finishVerdict(AccelStatus::Suppressed, start_cycle);  // final
-    } else if (got->auth_failed) {
-      return finishVerdict(AccelStatus::AuthFailed, start_cycle);  // verdict
-    } else if (got->fault_aborted) {
-      verdict = AccelStatus::FaultAborted;
-    } else {
-      (void)finishVerdict(AccelStatus::Ok, start_cycle);
-      return std::move(*got);
-    }
-    if (attempt >= opts_.max_retries)
-      return finishVerdict(verdict, start_cycle);
     ++retries_;
     acc_.noteRetry();
     const std::uint64_t backoff = opts_.backoff_cycles << attempt;

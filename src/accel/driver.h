@@ -179,11 +179,30 @@ class AccelSession {
   void cancelBatch(std::uint64_t ticket);
   std::size_t asyncOutstanding() const { return async_batches_.size(); }
 
+  // --- Asynchronous GCM ops (caller-clocked, like the batches above) ------
+  // beginGcm hands one op (user, key slot and request id are filled in) to
+  // the sequencer and returns a ticket — the op's request id — WITHOUT
+  // ticking. While every sequencer op slot is busy the ticket waits and
+  // pollGcm retries the submit: a busy device is backpressure, never a
+  // verdict. pollGcm consumes GCM responses (no ticking) and reports
+  // whether the op is terminal: its response arrived, the submit was
+  // refused, or its watchdog — timeout_cycles plus two cycles per AES
+  // block, counted from beginGcm — expired. finishGcm retires the ticket
+  // and records the verdict; there is NO retry here. cancelGcm abandons a
+  // ticket without a verdict (its late response is dropped).
+  std::uint64_t beginGcm(GcmRequest req);
+  bool pollGcm(std::uint64_t ticket);  // true once terminal (or unknown)
+  // True until the op holds a sequencer slot (or was refused, or is gone).
+  bool gcmWaitingForSlot(std::uint64_t ticket) const;
+  AccelResult<GcmResponse> finishGcm(std::uint64_t ticket);
+  void cancelGcm(std::uint64_t ticket);
+
   // On-device AEAD (SP 800-38D): the whole operation — CTR keystream, H,
   // GHASH, tag — runs on the accelerator under label enforcement; the host
   // never sees the hash subkey. Any IV length >= 1 byte (12 is the fast
   // path). `gcmOpen` returns AuthFailed on a tag mismatch (a verdict, not
-  // retryable); transient faults retry like block operations.
+  // retryable); transient faults retry like block operations. Built on the
+  // GCM tickets above: one attempt is one ticket, clocked to its verdict.
   AccelResult<GcmSealed> gcmSeal(const std::vector<std::uint8_t>& plaintext,
                                  const std::vector<std::uint8_t>& aad,
                                  const std::vector<std::uint8_t>& iv);
@@ -213,6 +232,24 @@ class AccelSession {
       const std::vector<aes::Block>& blocks, bool decrypt);
   // Run one GCM op synchronously, retrying transient failures.
   AccelResult<GcmResponse> runGcm(GcmRequest req);
+
+  // One outstanding GCM op (beginGcm/pollGcm/finishGcm), keyed by req id.
+  struct AsyncGcm {
+    GcmRequest req;  // moved into the sequencer once a slot is free
+    bool submitted = false;
+    bool rejected = false;
+    std::optional<GcmResponse> resp;
+    std::uint64_t begin_cycle = 0;
+    std::uint64_t budget = 0;  // watchdog, in cycles from begin_cycle
+  };
+  bool gcmTerminal(const AsyncGcm& g) const {
+    return g.rejected || g.resp.has_value() ||
+           acc_.cycle() - g.begin_cycle > g.budget;
+  }
+  void gcmSubmit(AsyncGcm& g);
+  void gcmDrain();
+  // Retire a ticket and map its outcome to a status, recording nothing.
+  AccelResult<GcmResponse> retireGcm(std::uint64_t ticket);
 
   // One outstanding asynchronous batch (beginBatch/pollBatch/finishBatch).
   struct AsyncBatch {
@@ -245,6 +282,7 @@ class AccelSession {
   std::map<std::uint64_t, AsyncBatch> async_batches_;
   // req_id -> (ticket, block index) across every outstanding async batch.
   std::map<std::uint64_t, std::pair<std::uint64_t, std::size_t>> async_order_;
+  std::map<std::uint64_t, AsyncGcm> async_gcm_;
   std::vector<BlockResponse> drained_;  // asyncDrain's reused buffer
   std::uint64_t next_ticket_ = 1;
   std::uint64_t next_req_ = 1;

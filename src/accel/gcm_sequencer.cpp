@@ -141,6 +141,17 @@ unsigned GcmSequencer::activeOps() const {
   return n;
 }
 
+bool GcmSequencer::issuing() const {
+  // E(K, J0) is sent only once H is installed and J0 derived, so an op
+  // that has not sent it still owes H and/or J0 blocks as well.
+  for (const auto& op : ops_) {
+    if (op.active && !op.draining &&
+        (!op.ekj0_sent || op.ctr_sent < op.ct_blocks))
+      return true;
+  }
+  return false;
+}
+
 void GcmSequencer::pump() {
   for (unsigned i = 0; i < kGcmOps; ++i) stepOp(i);
 }

@@ -57,6 +57,11 @@ class GcmSequencer {
 
   unsigned activeOps() const;
   bool idle() const { return activeOps() == 0; }
+  // True while any active op still has AES blocks (H, E(K, J0), CTR
+  // keystream) to submit. A host that waits for this to clear (and for the
+  // user's input queue to drain) knows the op's blocks have entered the
+  // pipe, so its next op overlaps this one's tail without sharing its issue.
+  bool issuing() const;
 
   // One clock of every op state machine: at most one internal AES submit
   // and one GHASH absorb per op per cycle. Frozen during stall cycles.

@@ -6,6 +6,7 @@
 
 #include "accel/accelerator.h"
 #include "aes/cipher.h"
+#include "aes/gcm.h"
 #include "aes/key_schedule.h"
 #include "aes/modes.h"
 #include "aes/sbox.h"
@@ -183,9 +184,18 @@ TimingChannelResult runTimingChannelAttack(SecurityMode mode,
   return r;
 }
 
-ServiceTimingChannelResult runServiceTimingChannelAttack(
-    const TimingChannelParams& p, bool modulate_volume) {
-  constexpr unsigned kPerWindow = 4;  // blocks per tenant per window
+namespace {
+
+// The service-level Fig. 8 experiment behind both public variants. Alice
+// and Eve share one pool shard; per window each submits its ops — single
+// blocks, or (aead) fixed-size GCM ops — then the window's pump rounds run.
+// Alice's secret bit drives her data, her key (per run), her fetch cadence,
+// and her encrypt/decrypt mix (blocks) or tag validity (AEAD). Eve decodes
+// from her per-window mean latency; her trace holds her Ok ops only.
+ServiceTimingChannelResult runServiceChannel(const TimingChannelParams& p,
+                                             bool modulate_volume, bool aead) {
+  constexpr unsigned kPerWindow = 4;  // ops per tenant per window
+  constexpr std::size_t kAeadBytes = 64, kAadBytes = 16;
   Rng rng{p.seed};
   std::vector<int> secret(p.secret_bits);
   for (auto& b : secret) b = rng.chance(0.5) ? 1 : 0;
@@ -193,48 +203,110 @@ ServiceTimingChannelResult runServiceTimingChannelAttack(
   PoolConfig cfg;
   cfg.shards = 1;
   EnginePool pool{cfg};
-  auto add = [&](const char* name, unsigned category, Rng& key_rng) {
+  auto add = [&](const char* name, unsigned category,
+                 const std::vector<std::uint8_t>& key) {
     PoolTenantSpec spec;
     spec.name = name;
     spec.category = category;
-    spec.key = Bench::randomKey(key_rng);
+    spec.key = key;
     return pool.addTenant(spec).tenant;
   };
   Rng eve_rng{0xe7e};
-  const unsigned alice = add("alice", 1, rng);  // key follows the secret
-  const unsigned eve = add("eve", 2, eve_rng);
+  const auto alice_key = Bench::randomKey(rng);  // follows the secret
+  const unsigned alice = add("alice", 1, alice_key);
+  const unsigned eve = add("eve", 2, Bench::randomKey(eve_rng));
+  const auto alice_golden = aes::expandKey(alice_key, aes::KeySize::Aes128);
 
-  ServiceTimingChannelResult r;
-  std::vector<double> window_latency(p.secret_bits, 0.0);
-  auto fetchEve = [&] {
-    while (auto c = pool.fetch(eve)) {
-      const std::size_t op = r.eve_complete_cycles.size();
-      r.eve_complete_cycles.push_back(c->complete_cycle);
-      window_latency[op / kPerWindow] +=
-          static_cast<double>(c->complete_cycle - c->submit_cycle);
-    }
+  // Zeros on a 0 bit, random bytes on a 1 bit.
+  auto secretBytes = [&](std::size_t n, bool one) {
+    std::vector<std::uint8_t> v(n);
+    if (one)
+      for (auto& b : v) b = static_cast<std::uint8_t>(rng.next());
+    return v;
   };
-  auto drainAlice = [&] {
-    while (pool.fetch(alice)) {
-    }
-  };
-  for (unsigned w = 0; w < p.secret_bits; ++w) {
-    const bool one = secret[w] != 0;
-    const unsigned alice_n = modulate_volume && !one ? 0 : kPerWindow;
-    for (unsigned i = 0; i < alice_n; ++i) {
-      aes::Block pt{};  // bit 0: zero blocks; bit 1: random, decrypted
+  auto submitAlice = [&](bool one) {
+    if (!aead) {
+      // Bit 0: zero blocks, encrypted; bit 1: random blocks, decrypted.
+      aes::Block pt{};
       if (one)
         for (auto& b : pt) b = static_cast<std::uint8_t>(rng.next());
       pool.submit(alice, pt, /*decrypt=*/one);
+      return;
     }
-    for (unsigned i = 0; i < kPerWindow; ++i)
+    // Bit 0: zero message and AAD under a valid tag; bit 1: random ones
+    // under a forged tag (an AuthFailed verdict).
+    const auto pt = secretBytes(kAeadBytes, one);
+    const auto aad = secretBytes(kAadBytes, one);
+    const auto iv = secretBytes(12, one);
+    auto sealed = aes::gcmEncrypt(pt, aad, alice_golden, iv);
+    if (one) sealed.tag[0] ^= 1;
+    pool.submitOpen(alice, sealed.ciphertext, aad, sealed.tag, iv);
+  };
+  auto submitEve = [&](unsigned i) {
+    if (!aead) {
       pool.submit(eve, blockOf(static_cast<std::uint8_t>(i)));
-    for (unsigned k = 0; k < p.window / 16; ++k) {
+    } else {
+      std::vector<std::uint8_t> iv(12, static_cast<std::uint8_t>(i));
+      pool.submitSeal(eve, std::vector<std::uint8_t>(kAeadBytes, 0x5e), {},
+                      iv);
+    }
+  };
+
+  ServiceTimingChannelResult r;
+  std::vector<double> window_latency(p.secret_bits, 0.0);
+  auto record = [&](std::uint64_t submit, std::uint64_t done) {
+    const std::size_t op = r.eve_complete_cycles.size();
+    r.eve_complete_cycles.push_back(done);
+    window_latency[op / kPerWindow] += static_cast<double>(done - submit);
+  };
+  auto fetchEve = [&] {
+    if (aead) {
+      while (auto c = pool.fetchAead(eve))
+        if (c->status == CompletionStatus::Ok)
+          record(c->submit_cycle, c->complete_cycle);
+    } else {
+      while (auto c = pool.fetch(eve))
+        if (c->status == CompletionStatus::Ok)
+          record(c->submit_cycle, c->complete_cycle);
+    }
+  };
+  auto drainAlice = [&] {
+    while (pool.fetch(alice) || pool.fetchAead(alice)) {
+    }
+  };
+  // One window's pump rounds. Blocks: window/16 rounds. AEAD ops outlast
+  // that, so an AEAD window runs at least `window` cycles and until its ops
+  // settle, in an even number of rounds: every window then starts from the
+  // same state, with Alice first in the round-robin.
+  const accel::AesAccelerator& engine = pool.shardEngine(0);
+  auto runWindow = [&](bool one) {
+    const std::uint64_t start = engine.cycle();
+    for (unsigned k = 0;; ++k) {
+      const bool more =
+          aead ? engine.cycle() - start < p.window || pool.totalQueued() > 0 ||
+                     k % 2 != 0
+               : k < p.window / 16;
+      if (!more) break;
       pool.pump();
       fetchEve();
       if (!one) drainAlice();  // bit 0: every round; bit 1: once a window
     }
     drainAlice();
+  };
+  if (aead) {
+    // Warm-up: derive both tenants' hash subkeys before the first window.
+    submitAlice(false);
+    submitEve(0);
+    runWindow(false);
+    r.eve_complete_cycles.clear();
+    window_latency[0] = 0.0;
+  }
+  for (unsigned w = 0; w < p.secret_bits; ++w) {
+    const bool one = secret[w] != 0;
+    const unsigned alice_n = modulate_volume && !one ? 0 : kPerWindow;
+    for (unsigned i = 0; i < alice_n; ++i) submitAlice(one);
+    for (unsigned i = 0; i < kPerWindow; ++i) submitEve(i);
+    runWindow(one);
   }
   pool.runUntilIdle(1u << 20);
   fetchEve();
@@ -252,6 +324,18 @@ ServiceTimingChannelResult runServiceTimingChannelAttack(
   r.mi_bits = mutualInformationBits(secret, decoded);
   r.accuracy = static_cast<double>(correct) / p.secret_bits;
   return r;
+}
+
+}  // namespace
+
+ServiceTimingChannelResult runServiceTimingChannelAttack(
+    const TimingChannelParams& p, bool modulate_volume) {
+  return runServiceChannel(p, modulate_volume, /*aead=*/false);
+}
+
+ServiceTimingChannelResult runServiceAeadTimingChannelAttack(
+    const TimingChannelParams& p, bool modulate_volume) {
+  return runServiceChannel(p, modulate_volume, /*aead=*/true);
 }
 
 AcceptanceDelayResult runAcceptanceDelayAttack(bool meet_includes_inputs,
@@ -669,11 +753,12 @@ RingCampaignReport runRingFaultCampaign(const RingCampaignConfig& cfg) {
       off += take;
     }
 
-    const auto seq = drv.submitChain(segs);
+    auto seq = drv.submitChain(segs);
     if (!seq) {  // ring backpressure: drain a little and retry once
       for (unsigned t = 0; t < 256; ++t) eng.tick();
       drv.poll();
-      if (!drv.submitChain(segs)) {
+      seq = drv.submitChain(segs);  // the retry's future is the one to judge
+      if (!seq) {
         ++rep.unresolved;
         continue;
       }

@@ -52,6 +52,14 @@ struct ServiceTimingChannelResult {
 ServiceTimingChannelResult runServiceTimingChannelAttack(
     const TimingChannelParams& p = {}, bool modulate_volume = false);
 
+// The same experiment with AEAD traffic: Alice and Eve each submit
+// fixed-size GCM ops (Alice opens, Eve seals), which share the GCM
+// sequencer, the GHASH unit and the pipe. Alice's secret drives her
+// plaintexts, AAD, IVs, key, tag validity (a forged tag on a 1 bit) and
+// fetch cadence; Eve's per-op completion cycles must not move.
+ServiceTimingChannelResult runServiceAeadTimingChannelAttack(
+    const TimingChannelParams& p = {}, bool modulate_volume = false);
+
 // --- Ablation: acceptance-delay channel ------------------------------------------
 // Eve sends one sparse probe per window while only Alice's traffic is in
 // flight; if Alice's granted stall may delay Eve's *acceptance* (stage-only

@@ -105,11 +105,9 @@ std::optional<unsigned> AccelService::tryAddTenant(const TenantSpec& spec) {
   tenants_.push_back(spec);
   sessions_.emplace_back(acc_, spec.user, spec.key_slot, cfg_.healthy_opts);
   golden_.push_back(aes::expandKey(spec.key, aes::KeySize::Aes128));
-  queues_.emplace_back();
-  inflight_.push_back(0);
-  shed_.emplace_back();
+  blocks_.emplace_back();
+  aead_.emplace_back();
   completions_.emplace_back();
-  aead_queues_.emplace_back();
   aead_completions_.emplace_back();
   tenant_active_.push_back(1);
   completed_per_tenant_.push_back(0);
@@ -125,7 +123,7 @@ bool AccelService::drainTenant(unsigned tenant, std::uint64_t max_device_cycles)
   // queue after its request settled; the slot-quiesce barrier that follows
   // a drain only sees the pipe, so wait for the input queue too.
   auto drained = [&] {
-    return queues_.at(tenant).empty() && aead_queues_.at(tenant).empty() &&
+    return blocks_.at(tenant).q.empty() && aead_.at(tenant).q.empty() &&
            acc_.pendingInputs(tenants_.at(tenant).user) == 0;
   };
   const std::uint64_t start = acc_.cycle();
@@ -141,16 +139,29 @@ void AccelService::forceQuarantine(const std::string& reason) {
 
 std::size_t AccelService::totalQueued() const {
   std::size_t n = 0;
-  for (const auto& q : queues_) n += q.size();
-  for (const auto& q : shed_) n += q.size();
-  for (const auto& q : aead_queues_) n += q.size();
+  for (const auto& l : blocks_) n += l.unsettled();
+  for (const auto& l : aead_) n += l.unsettled();
   return n;
+}
+
+template <typename R>
+void AccelService::shedOldest(unsigned tenant, Lane<R>& lane) {
+  // The tenant trades its own stalest waiting request for the fresh one;
+  // the evicted ticket still resolves (as Shed), never vanishes. Requests
+  // already in the device are not eligible, and the Shed verdict waits for
+  // them, to keep completion order.
+  const auto oldest =
+      lane.q.begin() + static_cast<std::ptrdiff_t>(lane.inflight);
+  ++stats_.shed;
+  lane.shed.push_back(std::move(*oldest));
+  lane.q.erase(oldest);
+  releaseShed(tenant, lane);
 }
 
 SubmitResult AccelService::submit(unsigned tenant, const aes::Block& data,
                                   bool decrypt) {
   ++stats_.offered;
-  auto& q = queues_.at(tenant);
+  auto& lane = blocks_.at(tenant);
 
   // A retired tenant's key is zeroized (or owned by another shard now);
   // nothing may be queued behind it.
@@ -166,23 +177,12 @@ SubmitResult AccelService::submit(unsigned tenant, const aes::Block& data,
     return {false, 0, AdmitError::Backpressure};
   }
 
-  const std::size_t waiting = q.size() - inflight_.at(tenant);
-  if (waiting >= tenants_[tenant].queue_depth) {
+  if (lane.waiting() >= tenants_[tenant].queue_depth) {
     if (cfg_.overflow == OverflowPolicy::RejectNew) {
       ++stats_.rejected_queue_full;
       return {false, 0, AdmitError::QueueFull};
     }
-    // ShedOldest: the tenant trades its own stalest waiting request for the
-    // fresh one; the evicted ticket still resolves (as Shed), never
-    // vanishes. Blocks already in the device are not eligible.
-    const auto oldest =
-        q.begin() + static_cast<std::ptrdiff_t>(inflight_[tenant]);
-    ++stats_.shed;
-    // Its verdict still waits for the older blocks in flight, to keep
-    // completion order.
-    shed_[tenant].push_back(std::move(*oldest));
-    q.erase(oldest);
-    releaseShed(tenant);
+    shedOldest(tenant, lane);
   }
 
   Request req;
@@ -190,7 +190,7 @@ SubmitResult AccelService::submit(unsigned tenant, const aes::Block& data,
   req.data = data;
   req.decrypt = decrypt;
   req.submit_cycle = acc_.cycle();
-  q.push_back(req);
+  lane.q.push_back(req);
   ++stats_.admitted;
   return {true, req.ticket, AdmitError::QueueFull};
 }
@@ -222,7 +222,7 @@ void AccelService::complete(unsigned tenant, const Request& req,
 SubmitResult AccelService::submitAead(unsigned tenant, AeadRequest req) {
   ++stats_.offered;
   ++stats_.aead_offered;
-  auto& q = aead_queues_.at(tenant);
+  auto& lane = aead_.at(tenant);
   if (!tenant_active_.at(tenant)) {
     return {false, 0, AdmitError::TenantRetired};
   }
@@ -230,21 +230,17 @@ SubmitResult AccelService::submitAead(unsigned tenant, AeadRequest req) {
     ++stats_.rejected_backpressure;
     return {false, 0, AdmitError::Backpressure};
   }
-  if (q.size() >= tenants_[tenant].aead_queue_depth) {
+  if (lane.waiting() >= tenants_[tenant].aead_queue_depth) {
     if (cfg_.overflow == OverflowPolicy::RejectNew) {
       ++stats_.rejected_queue_full;
       return {false, 0, AdmitError::QueueFull};
     }
-    AeadRequest victim = std::move(q.front());
-    q.pop_front();
-    ++stats_.shed;
-    completeAead(tenant, victim, CompletionStatus::Shed, ServedBy::None, {},
-                 aes::Tag128{});
+    shedOldest(tenant, lane);
   }
   req.ticket = next_ticket_++;
   req.submit_cycle = acc_.cycle();
   const std::uint64_t ticket = req.ticket;
-  q.push_back(std::move(req));
+  lane.q.push_back(std::move(req));
   ++stats_.admitted;
   ++stats_.aead_admitted;
   return {true, ticket, AdmitError::QueueFull};
@@ -255,10 +251,10 @@ SubmitResult AccelService::submitSeal(unsigned tenant,
                                       const std::vector<std::uint8_t>& aad,
                                       const std::vector<std::uint8_t>& iv) {
   AeadRequest req;
-  req.open = false;
-  req.iv = iv;
-  req.aad = aad;
-  req.data = plaintext;
+  req.op.open = false;
+  req.op.iv = iv;
+  req.op.aad = aad;
+  req.op.data = plaintext;
   return submitAead(tenant, std::move(req));
 }
 
@@ -268,11 +264,11 @@ SubmitResult AccelService::submitOpen(unsigned tenant,
                                       const aes::Tag128& tag,
                                       const std::vector<std::uint8_t>& iv) {
   AeadRequest req;
-  req.open = true;
-  req.iv = iv;
-  req.aad = aad;
-  req.data = ciphertext;
-  req.tag = tag;
+  req.op.open = true;
+  req.op.iv = iv;
+  req.op.aad = aad;
+  req.op.data = ciphertext;
+  req.op.tag = tag;
   return submitAead(tenant, std::move(req));
 }
 
@@ -284,10 +280,10 @@ std::optional<AeadCompletion> AccelService::fetchAead(unsigned tenant) {
   return out;
 }
 
-void AccelService::completeAead(unsigned tenant, const AeadRequest& req,
-                                CompletionStatus st, ServedBy by,
-                                std::vector<std::uint8_t> data,
-                                const aes::Tag128& tag) {
+void AccelService::complete(unsigned tenant, const AeadRequest& req,
+                            CompletionStatus st, ServedBy by,
+                            std::vector<std::uint8_t> data,
+                            const aes::Tag128& tag) {
   AeadCompletion c;
   c.ticket = req.ticket;
   c.tenant = tenant;
@@ -346,7 +342,7 @@ void AccelService::serveFallback(unsigned tenant, const Request& req) {
   if (!decision.allowed) {
     ++stats_.fallback_suppressed;
     complete(tenant, req, CompletionStatus::Suppressed,
-             ServedBy::SoftwareFallback, aes::Block{});
+             ServedBy::SoftwareFallback);
     return;
   }
   const aes::Block out = req.decrypt
@@ -380,73 +376,142 @@ std::size_t AccelService::inflightCap() const {
   return acc_.pipeline().depth() + acc_.config().out_buffer_depth;
 }
 
-void AccelService::issue(unsigned tenant) {
-  Request& req = queues_[tenant][inflight_[tenant]];
+template <typename R>
+std::size_t AccelService::inflightOf(const std::vector<Lane<R>>& lanes) {
+  std::size_t n = 0;
+  for (const auto& l : lanes) n += l.inflight;
+  return n;
+}
+
+void AccelService::issueBlock(unsigned tenant) {
+  auto& lane = blocks_[tenant];
+  Request& req = lane.q[lane.inflight];
   req.session_ticket = sessions_[tenant].beginBatch({req.data}, req.decrypt);
   req.issue_cycle = acc_.cycle();
-  ++inflight_[tenant];
-  ++inflight_total_;
+  ++lane.inflight;
+}
+
+void AccelService::issueAead(unsigned tenant) {
+  auto& lane = aead_[tenant];
+  auto& session = sessions_[tenant];
+  const std::uint64_t ticket = session.beginGcm(lane.q[lane.inflight].op);
+  lane.q[lane.inflight].session_ticket = ticket;
+  ++lane.inflight;
+  // The round contract, per op: tick until the op holds a sequencer slot
+  // and its AES blocks (H, E(K, J0), keystream) have entered the pipe. The
+  // next op then overlaps this one's tail, and no op's issue is stretched
+  // by the ops queued behind it. Bounded by the op's watchdog.
+  const unsigned user = tenants_[tenant].user;
+  while (!session.pollGcm(ticket) &&
+         (session.gcmWaitingForSlot(ticket) || acc_.gcm().issuing() ||
+          acc_.pendingInputs(user) > 0)) {
+    tickAndCollect();
+  }
 }
 
 void AccelService::collect() {
   for (unsigned t = 0; t < tenants_.size(); ++t) {
-    auto& q = queues_[t];
-    auto& session = sessions_[t];
-    while (inflight_[t] > 0) {
-      Request& head = q.front();
-      if (!session.pollBatch(head.session_ticket)) {
-        // Exits settle in order, so only the head can hold the tenant up:
-        // past its watchdog it is abandoned (a Timeout health verdict).
-        const std::uint64_t age = acc_.cycle() - head.issue_cycle;
-        if (age > session.options().timeout_cycles)
-          goBack(t, session.finishBatch(head.session_ticket).status());
-        break;
-      }
-      const auto r = session.finishBatch(head.session_ticket);
-      if (r.status() == AccelStatus::Ok ||
-          r.status() == AccelStatus::Suppressed) {
-        const bool ok = r.has_value();
-        if (ok) ++stats_.completed_hw;
-        complete(t, head,
-                 ok ? CompletionStatus::Ok : CompletionStatus::Suppressed,
-                 ServedBy::Hardware, ok ? (*r)[0] : aes::Block{});
-        q.pop_front();
-        --inflight_[t];
-        --inflight_total_;
-        releaseShed(t);
-        continue;
-      }
-      goBack(t, r.status());
-    }
+    collectBlocks(t);
+    collectAead(t);
   }
 }
 
-void AccelService::goBack(unsigned tenant, AccelStatus st) {
-  auto& q = queues_[tenant];
+void AccelService::collectBlocks(unsigned t) {
+  auto& lane = blocks_[t];
+  auto& session = sessions_[t];
+  while (lane.inflight > 0) {
+    Request& head = lane.q.front();
+    if (!session.pollBatch(head.session_ticket)) {
+      // Exits settle in order, so only the head can hold the tenant up:
+      // past its watchdog it is abandoned (a Timeout health verdict).
+      const std::uint64_t age = acc_.cycle() - head.issue_cycle;
+      if (age > session.options().timeout_cycles)
+        goBack(t, lane, session.finishBatch(head.session_ticket).status());
+      break;
+    }
+    const auto r = session.finishBatch(head.session_ticket);
+    if (r.status() == AccelStatus::Ok ||
+        r.status() == AccelStatus::Suppressed) {
+      const bool ok = r.has_value();
+      if (ok) ++stats_.completed_hw;
+      complete(t, head,
+               ok ? CompletionStatus::Ok : CompletionStatus::Suppressed,
+               ServedBy::Hardware, ok ? (*r)[0] : aes::Block{});
+      popHead(t, lane);
+      continue;
+    }
+    goBack(t, lane, r.status());
+  }
+}
+
+void AccelService::collectAead(unsigned t) {
+  auto& lane = aead_[t];
+  auto& session = sessions_[t];
+  while (lane.inflight > 0) {
+    AeadRequest& head = lane.q.front();
+    // The ticket's own watchdog makes a lost or wedged op terminal.
+    if (!session.pollGcm(head.session_ticket)) break;
+    auto r = session.finishGcm(head.session_ticket);
+    switch (r.status()) {
+      case AccelStatus::Ok:
+        ++stats_.aead_completed_hw;
+        complete(t, head, CompletionStatus::Ok, ServedBy::Hardware,
+                 std::move(r->data), r->tag);
+        break;
+      case AccelStatus::Suppressed:
+        complete(t, head, CompletionStatus::Suppressed, ServedBy::Hardware);
+        break;
+      case AccelStatus::AuthFailed:
+        // A tag mismatch is a verdict about the message, not about device
+        // health: terminal, never requeued, never failed over to software.
+        ++stats_.aead_auth_failed;
+        complete(t, head, CompletionStatus::AuthFailed, ServedBy::Hardware);
+        break;
+      default:
+        goBack(t, lane, r.status());
+        continue;
+    }
+    popHead(t, lane);
+  }
+}
+
+template <typename R>
+void AccelService::popHead(unsigned tenant, Lane<R>& lane) {
+  lane.q.pop_front();
+  --lane.inflight;
+  releaseShed(tenant, lane);
+}
+
+void AccelService::cancel(unsigned tenant, const Request& req) {
+  sessions_[tenant].cancelBatch(req.session_ticket);
+}
+
+void AccelService::cancel(unsigned tenant, const AeadRequest& req) {
+  sessions_[tenant].cancelGcm(req.session_ticket);
+}
+
+template <typename R>
+void AccelService::goBack(unsigned tenant, Lane<R>& lane, AccelStatus st) {
   // The head's attempt is already retired; every attempt behind it is
   // abandoned and will be re-issued in order.
-  for (std::size_t i = 1; i < inflight_[tenant]; ++i)
-    sessions_[tenant].cancelBatch(q[i].session_ticket);
-  inflight_total_ -= inflight_[tenant];
-  inflight_[tenant] = 0;
+  for (std::size_t i = 1; i < lane.inflight; ++i) cancel(tenant, lane.q[i]);
+  lane.inflight = 0;
 
   // A retried head stays at the front: per-tenant order is preserved, and
   // if the breaker trips before the next round the fallback serves it.
-  if (retryAfter(tenant, st, q.front().requeues)) return;
-  complete(tenant, q.front(), failureVerdict(st), ServedBy::Hardware,
-           aes::Block{});
-  q.pop_front();
-  releaseShed(tenant);
+  if (retryAfter(tenant, st, lane.q.front().requeues)) return;
+  complete(tenant, lane.q.front(), failureVerdict(st), ServedBy::Hardware);
+  lane.q.pop_front();
+  releaseShed(tenant, lane);
 }
 
-void AccelService::releaseShed(unsigned tenant) {
-  auto& shed = shed_[tenant];
-  const auto& q = queues_[tenant];
+template <typename R>
+void AccelService::releaseShed(unsigned tenant, Lane<R>& lane) {
+  auto& shed = lane.shed;
   std::size_t n = 0;
   while (n < shed.size() &&
-         (q.empty() || q.front().ticket > shed[n].ticket)) {
-    complete(tenant, shed[n], CompletionStatus::Shed, ServedBy::None,
-             aes::Block{});
+         (lane.q.empty() || lane.q.front().ticket > shed[n].ticket)) {
+    complete(tenant, shed[n], CompletionStatus::Shed, ServedBy::None);
     ++n;
   }
   shed.erase(shed.begin(), shed.begin() + static_cast<std::ptrdiff_t>(n));
@@ -471,129 +536,69 @@ void AccelService::tickAndCollect() {
 
 void AccelService::settleTenant(unsigned tenant) {
   // Terminates: an unexited head goes back to the queue at its watchdog.
-  while (inflight_[tenant] > 0) tickAndCollect();
+  while (blocks_[tenant].inflight > 0 || aead_[tenant].inflight > 0)
+    tickAndCollect();
 }
 
 void AccelService::settleAll() {
-  while (inflight_total_ > 0) tickAndCollect();
+  while (inflightOf(blocks_) > 0 || inflightOf(aead_) > 0) tickAndCollect();
 }
 
-void AccelService::serveAeadFallback(unsigned tenant, const AeadRequest& req) {
-  // Same contract as serveFallback, lifted to a whole message: the golden
-  // software GCM computes the answer, but release still passes the Eq. 1
-  // declassification check, and the shared clock is charged per block so
-  // quarantine residency reflects the real work.
+void AccelService::serveFallback(unsigned tenant, const AeadRequest& req) {
+  // Same contract as the block fallback, lifted to a whole message: the
+  // golden software GCM computes the answer, but release still passes the
+  // Eq. 1 declassification check, and the shared clock is charged per block
+  // so quarantine residency reflects the real work.
   const auto& spec = tenants_[tenant];
+  const auto& op = req.op;
   const auto decision =
       degradedReleaseDecision(acc_.principal(spec.user), spec.key_conf);
-  const std::uint64_t blocks = (req.data.size() + 15) / 16 +
-                               (req.aad.size() + 15) / 16 +
-                               (req.iv.size() + 15) / 16 + 2;  // + J0, tag
+  const std::uint64_t blocks = (op.data.size() + 15) / 16 +
+                               (op.aad.size() + 15) / 16 +
+                               (op.iv.size() + 15) / 16 + 2;  // + J0, tag
   acc_.run(cfg_.fallback_cycles_per_block * blocks);
   if (!decision.allowed) {
     ++stats_.fallback_suppressed;
-    completeAead(tenant, req, CompletionStatus::Suppressed,
-                 ServedBy::SoftwareFallback, {}, aes::Tag128{});
+    complete(tenant, req, CompletionStatus::Suppressed,
+             ServedBy::SoftwareFallback);
     return;
   }
-  if (req.open) {
-    auto pt = aes::gcmDecrypt(req.data, req.aad, req.tag, golden_[tenant],
-                              req.iv);
+  if (op.open) {
+    auto pt = aes::gcmDecrypt(op.data, op.aad, op.tag, golden_[tenant], op.iv);
     if (!pt.has_value()) {
       ++stats_.aead_auth_failed;
-      completeAead(tenant, req, CompletionStatus::AuthFailed,
-                   ServedBy::SoftwareFallback, {}, aes::Tag128{});
+      complete(tenant, req, CompletionStatus::AuthFailed,
+               ServedBy::SoftwareFallback);
       return;
     }
     ++stats_.aead_completed_fallback;
-    completeAead(tenant, req, CompletionStatus::Ok, ServedBy::SoftwareFallback,
-                 std::move(*pt), aes::Tag128{});
+    complete(tenant, req, CompletionStatus::Ok, ServedBy::SoftwareFallback,
+             std::move(*pt));
     return;
   }
-  auto r = aes::gcmEncrypt(req.data, req.aad, golden_[tenant], req.iv);
+  auto r = aes::gcmEncrypt(op.data, op.aad, golden_[tenant], op.iv);
   ++stats_.aead_completed_fallback;
-  completeAead(tenant, req, CompletionStatus::Ok, ServedBy::SoftwareFallback,
-               std::move(r.ciphertext), r.tag);
+  complete(tenant, req, CompletionStatus::Ok, ServedBy::SoftwareFallback,
+           std::move(r.ciphertext), r.tag);
 }
 
-void AccelService::serveAeadHardware(unsigned tenant, AeadRequest req) {
-  auto& session = sessions_[tenant];
-  AccelStatus st;
-  std::vector<std::uint8_t> out;
-  aes::Tag128 tag{};
-  if (req.open) {
-    auto r = session.gcmOpen(req.data, req.aad, req.tag, req.iv);
-    st = r.status();
-    if (r.has_value()) out = std::move(*r);
-  } else {
-    auto r = session.gcmSeal(req.data, req.aad, req.iv);
-    st = r.status();
-    if (r.has_value()) {
-      out = std::move(r->ciphertext);
-      tag = r->tag;
-    }
-  }
-  switch (st) {
-    case AccelStatus::Ok:
-      ++stats_.aead_completed_hw;
-      completeAead(tenant, req, CompletionStatus::Ok, ServedBy::Hardware,
-                   std::move(out), tag);
-      return;
-    case AccelStatus::Suppressed:
-      completeAead(tenant, req, CompletionStatus::Suppressed,
-                   ServedBy::Hardware, {}, aes::Tag128{});
-      return;
-    case AccelStatus::AuthFailed:
-      // A tag mismatch is a verdict about the message, not about device
-      // health: terminal, never requeued, never failed over to software.
-      ++stats_.aead_auth_failed;
-      completeAead(tenant, req, CompletionStatus::AuthFailed,
-                   ServedBy::Hardware, {}, aes::Tag128{});
-      return;
-    default:
-      break;
-  }
-  if (retryAfter(tenant, st, req.requeues)) {
-    aead_queues_[tenant].push_front(std::move(req));
-    return;
-  }
-  completeAead(tenant, req, failureVerdict(st), ServedBy::Hardware, {},
-               aes::Tag128{});
-}
-
-void AccelService::serveAead(unsigned tenant, AeadRequest req) {
+template <typename R>
+void AccelService::serveOne(unsigned tenant, Lane<R>& lane) {
+  // In-flight work settles first so completions keep submission order.
+  settleTenant(tenant);
+  if (lane.q.empty()) return;  // the settle resolved the rest of the queue
+  R req = std::move(lane.q.front());
+  lane.q.pop_front();
   if (!tenant_active_[tenant]) {
     // A request surfaced for a retired tenant: executing it would use a
     // stale or zeroized key. Refuse, and count the near-miss — the elastic
     // pool's invariant is that this counter stays 0.
     ++stats_.wrong_key_uses;
-    completeAead(tenant, req, CompletionStatus::Rejected, ServedBy::None, {},
-                 aes::Tag128{});
-    return;
-  }
-  if (hardwarePath()) {
-    settleTenant(tenant);
-    serveAeadHardware(tenant, std::move(req));
-  } else {
-    serveAeadFallback(tenant, req);
-  }
-}
-
-void AccelService::serveOne(unsigned tenant) {
-  // In-flight blocks settle first so completions keep submission order.
-  settleTenant(tenant);
-  auto& q = queues_[tenant];
-  if (q.empty()) return;  // the settle resolved the rest of the queue
-  Request req = std::move(q.front());
-  q.pop_front();
-  if (!tenant_active_[tenant]) {
-    ++stats_.wrong_key_uses;
-    complete(tenant, req, CompletionStatus::Rejected, ServedBy::None,
-             aes::Block{});
+    complete(tenant, req, CompletionStatus::Rejected, ServedBy::None);
   } else {
     serveFallback(tenant, req);
   }
-  releaseShed(tenant);
+  releaseShed(tenant, lane);
 }
 
 void AccelService::sampleWindowIfDue() {
@@ -689,24 +694,26 @@ unsigned AccelService::pump() {
   for (unsigned k = 0; k < n; ++k) {
     const unsigned t = (rr_next_ + k) % n;
     unsigned served = 0;
-    // AEAD first: one whole GCM op is one quota unit, and serving it ahead
-    // of the block queue keeps a long message from starving behind blocks.
-    while (served < cfg_.quota_per_round && !aead_queues_[t].empty()) {
-      AeadRequest areq = std::move(aead_queues_[t].front());
-      aead_queues_[t].pop_front();
-      serveAead(t, std::move(areq));
-      ++served;
-    }
-    auto& q = queues_[t];
+    auto& ops = aead_[t];
+    auto& blocks = blocks_[t];
     if (hardwarePath() && tenant_active_[t]) {
-      for (; served < cfg_.quota_per_round && inflight_[t] < q.size() &&
-             inflight_total_ < inflightCap();
+      // AEAD first: one whole GCM op is one quota unit, and issuing it ahead
+      // of the block queue keeps a long message from starving behind blocks.
+      for (; served < cfg_.quota_per_round && ops.waiting() > 0 &&
+             inflightOf(aead_) < accel::kGcmOps;
            ++served) {
-        issue(t);
+        issueAead(t);
+      }
+      for (; served < cfg_.quota_per_round && blocks.waiting() > 0 &&
+             inflightOf(blocks_) < inflightCap();
+           ++served) {
+        issueBlock(t);
       }
     } else {
-      for (; served < cfg_.quota_per_round && !q.empty(); ++served)
-        serveOne(t);
+      for (; served < cfg_.quota_per_round && !ops.q.empty(); ++served)
+        serveOne(t, ops);
+      for (; served < cfg_.quota_per_round && !blocks.q.empty(); ++served)
+        serveOne(t, blocks);
     }
   }
   if (n) rr_next_ = (rr_next_ + 1) % n;
@@ -715,7 +722,7 @@ unsigned AccelService::pump() {
   // pipe trips the head watchdogs, which take the blocks back.
   auto waitingAtInput = [&] {
     for (unsigned t = 0; t < n; ++t) {
-      if (inflight_[t] > 0 && acc_.pendingInputs(tenants_[t].user) > 0)
+      if (blocks_[t].inflight > 0 && acc_.pendingInputs(tenants_[t].user) > 0)
         return true;
     }
     return false;

@@ -6,13 +6,15 @@
 //
 // Four cooperating mechanisms:
 //
-//  * Pipelined issue: blocks from any mix of tenants ride the live pipe
-//    together (the paper's fine-grain sharing, Sec. 4). Each block is one
-//    ticket of the session's caller-clocked async API; the service owns the
-//    clock, keeps up to pipe-depth + overflow-buffer blocks in flight per
-//    engine, and settles verdicts in per-tenant submission order as blocks
-//    exit. The per-stage tags and the Fig. 8 meet-gated stall are what make
-//    the interleaving safe, so no drain separates tenants or runs.
+//  * Pipelined issue: blocks and AEAD ops from any mix of tenants ride the
+//    live pipe together (the paper's fine-grain sharing, Sec. 4). Each
+//    block, and each whole GCM op, is one ticket of the session's
+//    caller-clocked async API; the service owns the clock, keeps up to
+//    pipe-depth + overflow-buffer blocks and kGcmOps GCM ops in flight per
+//    engine (both bounds come from the device), and settles verdicts in
+//    per-tenant submission order as work exits. The per-stage tags and the
+//    Fig. 8 meet-gated stall are what make the interleaving safe, so no
+//    drain separates tenants, runs or ops.
 //
 //  * Admission control: per tenant a bounded submission queue and a fair
 //    per-round service quota; a global watermark applies backpressure when
@@ -67,25 +69,21 @@ struct ServiceConfig {
   // attempt ends in a transient failure (fault abort, drop, watchdog expiry)
   // or a submit refusal is re-queued at the front this many times (it rides
   // over to the fallback path if the breaker trips meanwhile). The service
-  // is the only owner of block retry: the pipelined issue path makes one
-  // device attempt per issue, with no retry inside the driver.
+  // is the only owner of block and AEAD retry: the pipelined issue path
+  // makes one device attempt per issue, with no retry inside the driver.
   unsigned max_requeues = 1;
   // Device cycles charged per software-fallback block, ticked on the
   // accelerator so quarantine residency and background scrubbing advance
   // while traffic is off the hardware.
   unsigned fallback_cycles_per_block = 40;
   HealthConfig health;
-  // Driver options for the Healthy hardware path (AEAD ops run through the
-  // session's synchronous retrying path; blocks use only timeout_cycles, as
-  // the per-block watchdog)…
-  accel::SessionOptions healthy_opts{.timeout_cycles = 1024,
-                                     .max_retries = 2,
-                                     .backoff_cycles = 16};
-  // …and the tightened Degraded ones (shorter watchdog, one retry, so a
-  // sick device wastes less of everyone's cycle budget per failure).
-  accel::SessionOptions degraded_opts{.timeout_cycles = 256,
-                                      .max_retries = 1,
-                                      .backoff_cycles = 8};
+  // Driver options for the Healthy hardware path — only timeout_cycles
+  // matters: it is the per-block watchdog, and an AEAD op's watchdog is it
+  // plus two cycles per AES block…
+  accel::SessionOptions healthy_opts{.timeout_cycles = 1024};
+  // …and the tightened Degraded one (a shorter watchdog, so a sick device
+  // wastes less of everyone's cycle budget per failure).
+  accel::SessionOptions degraded_opts{.timeout_cycles = 256};
   // Canary probe options (probation must not hang on a wedged device).
   accel::SessionOptions canary_opts{.timeout_cycles = 512,
                                     .max_retries = 1,
@@ -243,8 +241,9 @@ class AccelService {
 
   // Offer one AEAD operation (whole-message GCM seal/open). Admission uses
   // the same global watermark as blocks plus the tenant's own AEAD queue
-  // depth; one op is one quota unit in pump(), served ahead of the block
-  // queue so a long message cannot be starved by block traffic behind it.
+  // depth, which bounds ops waiting to issue (ShedOldest evicts the oldest
+  // of those); one op is one quota unit in pump(), issued ahead of the
+  // block queue so a long message cannot be starved by block traffic.
   SubmitResult submitSeal(unsigned tenant,
                           const std::vector<std::uint8_t>& plaintext,
                           const std::vector<std::uint8_t>& aad,
@@ -255,8 +254,10 @@ class AccelService {
                           const aes::Tag128& tag,
                           const std::vector<std::uint8_t>& iv);
   std::optional<AeadCompletion> fetchAead(unsigned tenant);
+  // AEAD ops admitted but not yet settled (waiting, in the device, or shed
+  // behind older ops in the device).
   std::size_t aeadQueued(unsigned tenant) const {
-    return aead_queues_.at(tenant).size();
+    return aead_.at(tenant).unsettled();
   }
 
   // One scheduling round. The round contract:
@@ -265,31 +266,36 @@ class AccelService {
   //     exited;
   //  2. canary probes when probation opens;
   //  3. per tenant, round-robin: up to quota_per_round units — AEAD ops
-  //     first (served synchronously), then blocks. On the hardware path a
-  //     block is issued into the live pipe, never waited for; at most
-  //     pipeline().depth() + out_buffer_depth blocks are in flight per
-  //     engine (derived from the device, so there is no knob). On the
-  //     fallback path a block is served in software;
+  //     first, then blocks. On the hardware path both are issued into the
+  //     live pipe and not waited on to finish: after each AEAD op the
+  //     service ticks only until that op's AES blocks have ENTERED the
+  //     pipe, so the next op overlaps its tail and ops never time-share
+  //     the pipe.
+  //     At most kGcmOps ops and pipeline().depth() + out_buffer_depth
+  //     blocks are in flight per engine (derived from the device, so there
+  //     is no knob). On the fallback path both are served in software;
   //  4. tick until this round's blocks have ENTERED the pipe.
-  // Verdicts settle in per-tenant submission order as blocks exit — in this
+  // Verdicts settle in per-tenant submission order as work exits — in this
   // round or a later one. A head that ends FaultAborted, Dropped, refused
-  // at submit, or past its watchdog (the session's timeout_cycles) goes
-  // back to the queue front together with every block behind it
-  // (go-back-N), so completion order is kept and each ticket gets exactly
-  // one verdict. Returns the number of requests resolved this round.
+  // at submit, or past its watchdog (the session's timeout_cycles; plus
+  // two cycles per AES block for an AEAD op) goes back to the queue front
+  // together with everything behind it (go-back-N), so completion order is
+  // kept and each ticket gets exactly one verdict. AuthFailed and
+  // Suppressed are terminal. Returns the number of requests resolved this
+  // round.
   unsigned pump();
 
-  // Pump until every queue is empty (in-flight blocks settled) or the
+  // Pump until every queue is empty (in-flight work settled) or the
   // device-cycle budget is spent.
   void runUntilIdle(std::uint64_t max_device_cycles);
 
   HealthState health() const { return monitor_.state(); }
   const HealthMonitor& monitor() const { return monitor_; }
   const ServiceStats& stats() const { return stats_; }
-  // Requests admitted but not yet settled: waiting, in the device, or
-  // shed but still ordered behind older blocks in the device.
+  // Blocks admitted but not yet settled: waiting, in the device, or shed
+  // but still ordered behind older blocks in the device.
   std::size_t queued(unsigned tenant) const {
-    return queues_.at(tenant).size() + shed_.at(tenant).size();
+    return blocks_.at(tenant).unsettled();
   }
   std::size_t totalQueued() const;
   std::uint64_t completedOf(unsigned tenant) const {
@@ -300,63 +306,86 @@ class AccelService {
   }
 
  private:
-  struct Request {
+  // What every queued request carries, block or AEAD op.
+  struct Pending {
     std::uint64_t ticket = 0;
+    std::uint64_t submit_cycle = 0;
+    unsigned requeues = 0;
+    std::uint64_t session_ticket = 0;  // current device attempt, if in flight
+  };
+  struct Request : Pending {
     aes::Block data{};
     bool decrypt = false;
-    std::uint64_t submit_cycle = 0;
-    unsigned requeues = 0;
-    // Current device attempt (valid while the request is in flight).
-    std::uint64_t session_ticket = 0;
-    std::uint64_t issue_cycle = 0;
+    std::uint64_t issue_cycle = 0;  // the block watchdog counts from here
   };
-
-  struct AeadRequest {
-    std::uint64_t ticket = 0;
-    bool open = false;
-    std::vector<std::uint8_t> iv;
-    std::vector<std::uint8_t> aad;
-    std::vector<std::uint8_t> data;  // plaintext (seal) or ciphertext (open)
-    aes::Tag128 tag{};               // expected tag (open only)
-    std::uint64_t submit_cycle = 0;
-    unsigned requeues = 0;
+  struct AeadRequest : Pending {
+    accel::GcmRequest op;  // seal/open, IV, AAD, data, expected tag
+  };
+  // One tenant's queue of one request kind, oldest first: the first
+  // `inflight` requests are in the device, the rest wait to issue. `shed`
+  // holds ShedOldest victims whose Shed verdict waits for the older
+  // requests still in the queue to settle.
+  template <typename R>
+  struct Lane {
+    std::deque<R> q;
+    std::size_t inflight = 0;
+    std::vector<R> shed;
+    std::size_t waiting() const { return q.size() - inflight; }
+    std::size_t unsettled() const { return q.size() + shed.size(); }
   };
 
   void logTransitions();
   void applyStateOptions();
   bool hardwarePath() const;
   std::size_t inflightCap() const;
+  template <typename R>
+  static std::size_t inflightOf(const std::vector<Lane<R>>& lanes);
   // Issue the tenant's next waiting block into the pipe (no ticking).
-  void issue(unsigned tenant);
+  void issueBlock(unsigned tenant);
+  // Issue the tenant's next waiting AEAD op and tick until its AES blocks
+  // have entered the pipe.
+  void issueAead(unsigned tenant);
   // Settle every tenant's in-flight heads that have exited (no ticking).
   void collect();
+  void collectBlocks(unsigned tenant);
+  void collectAead(unsigned tenant);
   void tickAndCollect();
   // Tick until the tenant (or every tenant) has nothing in flight — before
-  // any synchronous session call, whose drain would strand async verdicts.
+  // fallback serving or a synchronous session call (canaries), whose drain
+  // would strand async verdicts.
   void settleTenant(unsigned tenant);
   void settleAll();
+  // ShedOldest: move the tenant's oldest waiting request to the shed list.
+  template <typename R>
+  void shedOldest(unsigned tenant, Lane<R>& lane);
+  // Retire the settled head, then release the Shed verdicts behind it.
+  template <typename R>
+  void popHead(unsigned tenant, Lane<R>& lane);
   // Go-back-N: cancel the tenant's in-flight attempts and apply the retry
   // policy to the failed head (`st`); the rest wait at the queue front.
-  void goBack(unsigned tenant, accel::AccelStatus st);
+  template <typename R>
+  void goBack(unsigned tenant, Lane<R>& lane, accel::AccelStatus st);
   // Emit the Shed verdicts no older queued request is still ahead of; call
   // after every head pop.
-  void releaseShed(unsigned tenant);
+  template <typename R>
+  void releaseShed(unsigned tenant, Lane<R>& lane);
   // Retry policy for a failed hardware attempt (transient, or refused at
   // submit): true when the request may ride again, its requeue charged;
   // false when `st` becomes its verdict.
   bool retryAfter(unsigned tenant, accel::AccelStatus st, unsigned& requeues);
   // Fallback path (or refusal, for a retired tenant) for the queue head.
-  void serveOne(unsigned tenant);
+  template <typename R>
+  void serveOne(unsigned tenant, Lane<R>& lane);
   void serveFallback(unsigned tenant, const Request& req);
+  void serveFallback(unsigned tenant, const AeadRequest& req);
+  void cancel(unsigned tenant, const Request& req);
+  void cancel(unsigned tenant, const AeadRequest& req);
   void complete(unsigned tenant, const Request& req, CompletionStatus st,
-                ServedBy by, const aes::Block& data);
+                ServedBy by, const aes::Block& data = {});
+  void complete(unsigned tenant, const AeadRequest& req, CompletionStatus st,
+                ServedBy by, std::vector<std::uint8_t> data = {},
+                const aes::Tag128& tag = {});
   SubmitResult submitAead(unsigned tenant, AeadRequest req);
-  void serveAead(unsigned tenant, AeadRequest req);
-  void serveAeadHardware(unsigned tenant, AeadRequest req);
-  void serveAeadFallback(unsigned tenant, const AeadRequest& req);
-  void completeAead(unsigned tenant, const AeadRequest& req,
-                    CompletionStatus st, ServedBy by,
-                    std::vector<std::uint8_t> data, const aes::Tag128& tag);
   void sampleWindowIfDue();
   void runCanaries();
   bool reprovisionKey(unsigned tenant);
@@ -367,16 +396,9 @@ class AccelService {
   std::vector<TenantSpec> tenants_;
   std::vector<accel::AccelSession> sessions_;
   std::vector<aes::ExpandedKey> golden_;  // fallback + canary expectations
-  // Per tenant, oldest first: the first inflight_[t] requests are in the
-  // device, the rest wait to issue.
-  std::vector<std::deque<Request>> queues_;
-  std::vector<std::size_t> inflight_;
-  // Per tenant: shed requests whose Shed verdict waits for the older
-  // requests still in the queue to settle.
-  std::vector<std::vector<Request>> shed_;
-  std::size_t inflight_total_ = 0;
+  std::vector<Lane<Request>> blocks_;  // per tenant
+  std::vector<Lane<AeadRequest>> aead_;
   std::vector<std::deque<Completion>> completions_;
-  std::vector<std::deque<AeadRequest>> aead_queues_;
   std::vector<std::deque<AeadCompletion>> aead_completions_;
   std::vector<char> tenant_active_;  // 0 after deactivateTenant
   std::vector<std::uint64_t> completed_per_tenant_;

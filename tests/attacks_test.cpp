@@ -61,6 +61,26 @@ TEST(TimingChannel, ServiceLevelVolumeControlIsDecoded) {
   EXPECT_GT(r.mi_bits, 0.5);
 }
 
+// The AEAD variant: Alice's opens and Eve's seals share the GCM sequencer,
+// the GHASH unit and the pipe. Alice's secret drives her plaintexts, AAD,
+// IVs, key and tag validity; Eve's completion cycles must not move, and the
+// volume control must still be decoded.
+TEST(TimingChannel, ServiceLevelAeadEveTimingIndependentOfAliceSecret) {
+  TimingChannelParams p;
+  p.secret_bits = 32;
+  const auto a = runServiceAeadTimingChannelAttack(p);
+  p.seed = 2;
+  const auto b = runServiceAeadTimingChannelAttack(p);
+  ASSERT_EQ(a.eve_complete_cycles.size(), 32u * 4u);
+  EXPECT_EQ(a.eve_complete_cycles, b.eve_complete_cycles);
+  EXPECT_EQ(a.mi_bits, 0.0);
+  EXPECT_EQ(b.mi_bits, 0.0);
+  const auto control =
+      runServiceAeadTimingChannelAttack(p, /*modulate_volume=*/true);
+  EXPECT_GT(control.accuracy, 0.9);
+  EXPECT_GT(control.mi_bits, 0.5);
+}
+
 // --- Fig. 5 / Section 3.2.3: scratchpad overflow ----------------------------------
 
 TEST(ScratchpadOverflow, BaselineCorruptsAliceKey) {

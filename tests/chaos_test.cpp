@@ -22,6 +22,13 @@ struct ChaosParams {
   std::uint64_t seed;
 };
 
+// Without this, gtest prints a case as its raw bytes, padding included; the
+// padding is uninitialized, so the ctest names changed from run to run.
+void PrintTo(const ChaosParams& p, std::ostream* os) {
+  *os << (p.mode == SecurityMode::Baseline ? "baseline" : "protected")
+      << " seed " << p.seed;
+}
+
 class ChaosTest : public ::testing::TestWithParam<ChaosParams> {};
 
 TEST_P(ChaosTest, AllTrafficCorrectCompleteAndOrdered) {

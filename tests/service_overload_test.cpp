@@ -52,10 +52,8 @@ TEST(ServiceOverload, FourTenantsWithFaultsNoStarvationQuarantineRecovers) {
   cfg.health.wedged_windows = 2;
   cfg.health.recovery_windows = 1;
   cfg.health.quarantine_residency_cycles = 1024;
-  cfg.healthy_opts = {.timeout_cycles = 400, .max_retries = 2,
-                      .backoff_cycles = 8};
-  cfg.degraded_opts = {.timeout_cycles = 150, .max_retries = 1,
-                       .backoff_cycles = 8};
+  cfg.healthy_opts = {.timeout_cycles = 400};
+  cfg.degraded_opts = {.timeout_cycles = 150};
   cfg.canary_opts = {.timeout_cycles = 400, .max_retries = 1,
                      .backoff_cycles = 8};
   AccelService svc{acc, cfg};

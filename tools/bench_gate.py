@@ -19,6 +19,8 @@ Examples:
         --bench throughput_pool --keys shards,batch
     bench_gate.py --fresh gcm.jsonl --snapshot bench/BENCH_gcm.json \
         --bench gcm --keys shards,batch,mode
+    bench_gate.py --fresh tp.jsonl --snapshot bench/BENCH_throughput.json \
+        --bench throughput_pool --keys shards --assert-eq ok:offered
 """
 
 import argparse
@@ -83,6 +85,10 @@ def main():
                          "record[METRIC] >= record[FLOOR_FIELD] (e.g. "
                          "aggregate_availability:availability_floor); "
                          "repeatable")
+    ap.add_argument("--assert-eq", action="append", default=[],
+                    help="A:B — every fresh record must have record[A] == "
+                         "record[B] exactly (e.g. ok:offered: every offered "
+                         "op completed Ok); repeatable")
     args = ap.parse_args()
     keys = [k.strip() for k in args.keys.split(",") if k.strip()]
     if not keys:
@@ -130,14 +136,21 @@ def main():
     # Hard invariants on the FRESH records: tolerance bands are for
     # throughput drift, not for safety counters — those must be exact.
     zero_fields = [z.strip() for z in args.assert_zero.split(",") if z.strip()]
-    ge_pairs = []
-    for spec in args.assert_ge:
-        parts = spec.split(":")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
-            print(f"bench_gate: bad --assert-ge spec '{spec}' "
-                  "(want METRIC:FLOOR_FIELD)", file=sys.stderr)
-            return 2
-        ge_pairs.append((parts[0], parts[1]))
+    def field_pairs(specs, flag, want):
+        pairs = []
+        for spec in specs:
+            parts = spec.split(":")
+            if len(parts) != 2 or not parts[0] or not parts[1]:
+                print(f"bench_gate: bad {flag} spec '{spec}' (want {want})",
+                      file=sys.stderr)
+                return None
+            pairs.append((parts[0], parts[1]))
+        return pairs
+
+    ge_pairs = field_pairs(args.assert_ge, "--assert-ge", "METRIC:FLOOR_FIELD")
+    eq_pairs = field_pairs(args.assert_eq, "--assert-eq", "A:B")
+    if ge_pairs is None or eq_pairs is None:
+        return 2
     for f in fresh:
         label = str(key_of(f, keys)).ljust(width)
         for z in zero_fields:
@@ -162,6 +175,13 @@ def main():
             else:
                 print(f"  {label}  invariant {metric}={got:g} >= "
                       f"{floor_field}={floor:g}  ok")
+        for a, b in eq_pairs:
+            va, vb = f.get(a), f.get(b)
+            if va is None or vb is None or va != vb:
+                print(f"  {label}  INVARIANT {a}={va} != {b}={vb}")
+                failures += 1
+            else:
+                print(f"  {label}  invariant {a}={va} == {b}  ok")
 
     extra = [k for k in fresh_by_key if k not in
              {key_of(s, keys) for s in snap}]
