@@ -408,9 +408,8 @@ void DmaRingEngine::setCompletionHandler(unsigned channel,
 
 void DmaRingEngine::ringReset(unsigned channel) {
   Channel& ch = chans_.at(channel);
-  if (ch.chain && exec_owner_ == static_cast<int>(channel)) exec_owner_ = -1;
+  releaseUnits(channel);
   ch.chain.reset();
-  ch.active = false;
   ch.parked = false;
   ch.park_watchdog_logged = false;
   ++ch.generation;
@@ -589,19 +588,45 @@ DmaError DmaRingEngine::buildStream(Chain& c) {
   return DmaError::None;
 }
 
-void DmaRingEngine::startChannel(unsigned idx) {
+DmaRingEngine::Chain* DmaRingEngine::executing(unsigned idx) {
   Channel& ch = chans_[idx];
-  ch.doorbell = false;
-  Chain c;
-  c.channel = idx;
-  c.head_addr = descAddr(ch);
-  c.next_fetch = c.head_addr;
-  c.fetch_wait = std::max(1u, ch.cfg.fetch_cycles);
-  c.start_cycle = acc_.cycle();
-  c.progress_cycle = acc_.cycle();
-  ch.chain = std::move(c);
-  ch.active = true;
-  exec_owner_ = static_cast<int>(idx);
+  return ch.chain && ch.chain->phase == Chain::Phase::Exec ? &*ch.chain
+                                                           : nullptr;
+}
+
+void DmaRingEngine::stepFetchUnit(std::uint64_t now) {
+  if (fetch_owner_ >= 0) {
+    // Latching, or holding a latched chain until the issue unit takes it.
+    const unsigned idx = static_cast<unsigned>(fetch_owner_);
+    if (chans_[idx].chain->phase == Chain::Phase::Fetch) stepFetch(idx);
+    return;
+  }
+  // Idle fetch unit: scan for a doorbell or a due poll, round-robin. A
+  // channel whose chain is still issuing, draining or parked is skipped:
+  // one chain per channel keeps completions in per-channel order.
+  const unsigned nch = static_cast<unsigned>(chans_.size());
+  for (unsigned k = 0; k < nch; ++k) {
+    const unsigned i = (rr_next_ + k) % nch;
+    Channel& ch = chans_[i];
+    if (ch.chain) continue;
+    if (!ch.doorbell && now < ch.next_poll_cycle) continue;
+    ch.next_poll_cycle = now + std::max(1u, ch.cfg.poll_interval);
+    const std::uint32_t flags = mem_.read32(descAddr(ch));
+    if (flags & kRingOwned) {
+      ch.doorbell = false;
+      Chain c;
+      c.channel = i;
+      c.head_addr = descAddr(ch);
+      c.next_fetch = c.head_addr;
+      c.fetch_wait = std::max(1u, ch.cfg.fetch_cycles);
+      ch.chain = std::move(c);
+      fetch_owner_ = static_cast<int>(i);
+      rr_next_ = (i + 1) % nch;
+      return;
+    }
+    ch.doorbell = false;
+    ++stats_.idle_polls;
+  }
 }
 
 void DmaRingEngine::stepFetch(unsigned idx) {
@@ -612,7 +637,6 @@ void DmaRingEngine::stepFetch(unsigned idx) {
   const DmaError e = latchSegment(c, c.next_fetch, head);
   if (e != DmaError::None) {
     c.verdict = e;
-    c.phase = Chain::Phase::Final;
     finalize(idx);
     return;
   }
@@ -621,8 +645,7 @@ void DmaRingEngine::stepFetch(unsigned idx) {
     return;  // more segments to latch
   }
   buildStream(c);
-  c.phase = Chain::Phase::Exec;
-  c.progress_cycle = acc_.cycle();
+  c.phase = Chain::Phase::Ready;
 }
 
 void DmaRingEngine::resubmitChain(Chain& c) {
@@ -635,111 +658,164 @@ void DmaRingEngine::resubmitChain(Chain& c) {
   c.submit_refusals = 0;
 }
 
-void DmaRingEngine::stepExec(unsigned idx) {
-  Channel& ch = chans_[idx];
-  Chain& c = *ch.chain;
-  const std::uint64_t now = acc_.cycle();
-  const std::size_t n = c.stream.size();
+void DmaRingEngine::collectResponses(std::uint64_t now) {
+  // Drain each in-flight user's output queue once, routing every response
+  // to the chain that issued it. A queue is left alone once no executing
+  // chain of its user remains (e.g. the last one just failed).
+  const unsigned nch = static_cast<unsigned>(chans_.size());
+  auto userExecuting = [&](unsigned user, unsigned end) {
+    for (unsigned j = 0; j < end; ++j) {
+      const Chain* o = executing(j);
+      if (o != nullptr && o->user == user) return true;
+    }
+    return false;
+  };
+  for (unsigned i = 0; i < nch; ++i) {
+    const Chain* c = executing(i);
+    if (c == nullptr || userExecuting(c->user, i)) continue;  // drained
+    const unsigned user = c->user;
+    while (userExecuting(user, nch)) {
+      auto resp = acc_.fetchOutput(user);
+      if (!resp) break;
+      routeResponse(*resp, now);
+    }
+  }
+  for (unsigned i = 0; i < nch; ++i) {
+    const Chain* c = executing(i);
+    if (c != nullptr && c->collected == c->stream.size()) finalize(i);
+  }
+}
 
-  // Drain completions. Responses whose ids are not in the in-flight map are
-  // strays from a quiesced attempt (or foreign traffic) — dropped.
-  while (auto resp = acc_.fetchOutput(c.user)) {
-    auto it = c.inflight.find(resp->req_id);
+void DmaRingEngine::routeResponse(const accel::BlockResponse& resp,
+                                  std::uint64_t now) {
+  // Responses whose ids no executing chain holds are strays from a
+  // quiesced attempt or a reset chain (or foreign traffic) — dropped.
+  for (unsigned i = 0; i < chans_.size(); ++i) {
+    Chain* cp = executing(i);
+    if (cp == nullptr || cp->user != resp.user) continue;
+    Chain& c = *cp;
+    auto it = c.inflight.find(resp.req_id);
     if (it == c.inflight.end()) continue;
     const std::size_t bi = it->second;
     c.inflight.erase(it);
-    if (resp->fault_aborted || resp->dropped) {
-      if (++c.block_retries >
-          ch.cfg.block_retry_cap + static_cast<unsigned>(n)) {
+    c.progress_cycle = now;
+    if (resp.fault_aborted || resp.dropped) {
+      if (++c.block_retries > chans_[i].cfg.block_retry_cap +
+                                  static_cast<unsigned>(c.stream.size())) {
         c.verdict = DmaError::FaultAborted;
-        c.phase = Chain::Phase::Final;
-        finalize(idx);
+        finalize(i);
         return;
       }
       c.retry.push_back(bi);
       ++stats_.block_resubmits;
-      c.progress_cycle = now;
-      continue;
+      return;
     }
-    if (resp->suppressed) c.suppressed = true;
+    if (resp.suppressed) c.suppressed = true;
     if (!c.done[bi]) {
       c.done[bi] = 1;
-      c.out[bi] = resp->data;
+      c.out[bi] = resp.data;
       ++c.collected;
     }
-    c.progress_cycle = now;
+    return;
   }
+}
 
-  if (c.collected == n) {
-    c.phase = Chain::Phase::Final;
+void DmaRingEngine::stepIssueUnit(std::uint64_t now) {
+  // One block enters the pipe per cycle: a draining chain's go-back
+  // retries first (it still holds its channel), else the issue owner.
+  int pick = -1;
+  for (unsigned i = 0; i < chans_.size() && pick < 0; ++i) {
+    const Chain* c = executing(i);
+    if (c != nullptr && static_cast<int>(i) != issue_owner_ &&
+        !c->retry.empty())
+      pick = static_cast<int>(i);
+  }
+  if (pick < 0) pick = issue_owner_;
+  if (pick >= 0) issueBlock(static_cast<unsigned>(pick), now);
+
+  // The owner passes the unit on once its last fresh block is issued; the
+  // latched chain then issues from the next cycle on, and its progress
+  // clock starts now — never while it waited.
+  if (issue_owner_ >= 0) {
+    const Chain* c = executing(static_cast<unsigned>(issue_owner_));
+    if (c == nullptr || c->submitted >= c->stream.size()) issue_owner_ = -1;
+  }
+  if (issue_owner_ < 0 && fetch_owner_ >= 0) {
+    Chain& c = *chans_[static_cast<unsigned>(fetch_owner_)].chain;
+    if (c.phase == Chain::Phase::Ready) {
+      c.phase = Chain::Phase::Exec;
+      c.progress_cycle = now;
+      issue_owner_ = fetch_owner_;
+      fetch_owner_ = -1;
+    }
+  }
+}
+
+void DmaRingEngine::issueBlock(unsigned idx, std::uint64_t now) {
+  Chain& c = *chans_[idx].chain;
+  std::size_t bi = 0;
+  if (!c.retry.empty()) {
+    bi = c.retry.front();
+  } else if (c.submitted < c.stream.size()) {
+    bi = c.submitted;
+  } else {
+    return;
+  }
+  accel::BlockRequest req;
+  req.req_id = next_req_;
+  req.user = c.user;
+  req.key_slot = c.key_slot;
+  req.decrypt = c.mode == DmaMode::EcbDecrypt;
+  req.data = c.stream[bi];
+  if (acc_.submit(req)) {
+    c.inflight.emplace(next_req_, bi);
+    ++next_req_;
+    c.submit_refusals = 0;
+    if (!c.first_issue_cycle) c.first_issue_cycle = now;
+    if (!c.retry.empty()) {
+      c.retry.pop_front();
+    } else {
+      ++c.submitted;
+    }
+  } else if (++c.submit_refusals > 32) {
+    // The submit port is refusing outright (zeroized slot, dead key) —
+    // no amount of watchdog patience will change the answer.
+    c.verdict = DmaError::Rejected;
+    finalize(idx);
+  }
+}
+
+void DmaRingEngine::stepWatchdog(unsigned idx, std::uint64_t now) {
+  Channel& ch = chans_[idx];
+  Chain& c = *ch.chain;
+  if (now - c.progress_cycle <= ch.cfg.watchdog_cycles) return;
+  // No progress for too long — quiesce, resync, resubmit.
+  ++stats_.watchdog_fires;
+  // Quiesce: abandon in-flight requests (their late responses will miss
+  // the cleared map and be dropped — idempotent by construction).
+  c.inflight.clear();
+  // Resync: re-read the handshake word; a descriptor that was reclaimed
+  // or re-generationed under us is torn, not stalled.
+  const std::uint32_t flags = mem_.read32(c.head_addr);
+  if (hardened_ &&
+      (!(flags & kRingOwned) || (flags >> 16) != ch.generation)) {
+    ++stats_.torn_ownership;
+    c.verdict = DmaError::TornOwnership;
     finalize(idx);
     return;
   }
-
-  // Submit at most one block per cycle (retries first).
-  std::optional<std::size_t> bi;
-  if (!c.retry.empty()) {
-    bi = c.retry.front();
-  } else if (c.submitted < n) {
-    bi = c.submitted;
+  if (++c.attempts > ch.cfg.max_resubmits) {
+    c.verdict = DmaError::RingStalled;
+    finalize(idx);
+    return;
   }
-  if (bi) {
-    accel::BlockRequest req;
-    req.req_id = next_req_;
-    req.user = c.user;
-    req.key_slot = c.key_slot;
-    req.decrypt = c.mode == DmaMode::EcbDecrypt;
-    req.data = c.stream[*bi];
-    if (acc_.submit(req)) {
-      c.inflight.emplace(next_req_, *bi);
-      ++next_req_;
-      c.submit_refusals = 0;
-      if (!c.retry.empty()) {
-        c.retry.pop_front();
-      } else {
-        ++c.submitted;
-      }
-    } else if (++c.submit_refusals > 32) {
-      // The submit port is refusing outright (zeroized slot, dead key) —
-      // no amount of watchdog patience will change the answer.
-      c.verdict = DmaError::Rejected;
-      c.phase = Chain::Phase::Final;
-      finalize(idx);
-      return;
-    }
-  }
-
-  // Watchdog: no progress for too long — quiesce, resync, resubmit.
-  if (now - c.progress_cycle > ch.cfg.watchdog_cycles) {
-    ++stats_.watchdog_fires;
-    // Quiesce: abandon in-flight requests (their late responses will miss
-    // the cleared map and be dropped — idempotent by construction).
-    c.inflight.clear();
-    // Resync: re-read the handshake word; a descriptor that was reclaimed
-    // or re-generationed under us is torn, not stalled.
-    const std::uint32_t flags = mem_.read32(c.head_addr);
-    if (hardened_ &&
-        (!(flags & kRingOwned) || (flags >> 16) != ch.generation)) {
-      ++stats_.torn_ownership;
-      c.verdict = DmaError::TornOwnership;
-      c.phase = Chain::Phase::Final;
-      finalize(idx);
-      return;
-    }
-    if (++c.attempts > ch.cfg.max_resubmits) {
-      c.verdict = DmaError::RingStalled;
-      c.phase = Chain::Phase::Final;
-      finalize(idx);
-      return;
-    }
-    ++stats_.recoveries;
-    acc_.noteHostEvent(accel::SecurityEventKind::DmaRingRecovery, c.user,
-                       "watchdog resubmit " + std::to_string(c.attempts) +
-                           "/" + std::to_string(ch.cfg.max_resubmits) +
-                           " seq " + std::to_string(c.seq));
-    resubmitChain(c);
-    c.progress_cycle = now;
-  }
+  ++stats_.recoveries;
+  acc_.noteHostEvent(accel::SecurityEventKind::DmaRingRecovery, c.user,
+                     "watchdog resubmit " + std::to_string(c.attempts) +
+                         "/" + std::to_string(ch.cfg.max_resubmits) +
+                         " seq " + std::to_string(c.seq));
+  resubmitChain(c);
+  c.progress_cycle = now;
 }
 
 void DmaRingEngine::writeBack(const Chain& c) {
@@ -819,14 +895,14 @@ void DmaRingEngine::finalize(unsigned idx) {
     handback(ch, c);
     finishChain(idx);
   } else {
-    // Completion ring full: park. The exec unit is freed; the record is
+    // Completion ring full: park. Both units are freed; the record is
     // written once the host consumes a slot (hardened engines never
     // overwrite an unconsumed record).
+    c.phase = Chain::Phase::Final;
     ch.parked = true;
-    ch.active = false;
     ch.park_start = acc_.cycle();
     ch.park_watchdog_logged = false;
-    if (exec_owner_ == static_cast<int>(idx)) exec_owner_ = -1;
+    releaseUnits(idx);
   }
 }
 
@@ -836,7 +912,7 @@ bool DmaRingEngine::tryWriteCompletion(unsigned idx) {
   const std::size_t addr = ch.cfg.comp_base + ch.comp_tail * kCompBytes;
   if (mem_.read32(addr) & kRingValid) return false;  // unconsumed record
   const std::uint64_t exec =
-      acc_.cycle() >= c.start_cycle ? acc_.cycle() - c.start_cycle : 0;
+      c.first_issue_cycle ? acc_.cycle() - *c.first_issue_cycle : 0;
   mem_.write32(addr + 8, static_cast<std::uint32_t>(c.verdict));
   wr16(mem_, addr + 12, static_cast<std::uint16_t>(c.user));
   wr16(mem_, addr + 14, c.seq);
@@ -862,12 +938,16 @@ void DmaRingEngine::handback(Channel& ch, const Chain& c) {
   ch.head = (ch.head + 1) % ch.cfg.desc_slots;
 }
 
+void DmaRingEngine::releaseUnits(unsigned idx) {
+  if (fetch_owner_ == static_cast<int>(idx)) fetch_owner_ = -1;
+  if (issue_owner_ == static_cast<int>(idx)) issue_owner_ = -1;
+}
+
 void DmaRingEngine::finishChain(unsigned idx) {
   Channel& ch = chans_[idx];
   ch.chain.reset();
-  ch.active = false;
   ch.parked = false;
-  if (exec_owner_ == static_cast<int>(idx)) exec_owner_ = -1;
+  releaseUnits(idx);
 }
 
 void DmaRingEngine::onDeviceTick() {
@@ -913,38 +993,13 @@ void DmaRingEngine::onDeviceTick() {
     }
   }
 
-  // Active chain owns the fetch/exec unit.
-  if (exec_owner_ >= 0) {
-    const unsigned idx = static_cast<unsigned>(exec_owner_);
-    Channel& ch = chans_[idx];
-    if (ch.chain) {
-      switch (ch.chain->phase) {
-        case Chain::Phase::Fetch: stepFetch(idx); break;
-        case Chain::Phase::Exec: stepExec(idx); break;
-        case Chain::Phase::Final: finalize(idx); break;
-      }
-    } else {
-      exec_owner_ = -1;
-    }
-    return;
-  }
-
-  // Idle exec unit: scan for a doorbell or a due poll, round-robin.
-  const unsigned nch = static_cast<unsigned>(chans_.size());
-  for (unsigned k = 0; k < nch; ++k) {
-    const unsigned i = (rr_next_ + k) % nch;
-    Channel& ch = chans_[i];
-    if (ch.chain) continue;  // parked (or mid-handoff)
-    if (!ch.doorbell && now < ch.next_poll_cycle) continue;
-    ch.next_poll_cycle = now + std::max(1u, ch.cfg.poll_interval);
-    const std::uint32_t flags = mem_.read32(descAddr(ch));
-    if (flags & kRingOwned) {
-      startChannel(i);
-      rr_next_ = (i + 1) % nch;
-      return;
-    }
-    ch.doorbell = false;
-    ++stats_.idle_polls;
+  // Fetch before collection: a channel freed by this cycle's completion is
+  // scanned from the next cycle on.
+  stepFetchUnit(now);
+  collectResponses(now);
+  stepIssueUnit(now);
+  for (unsigned i = 0; i < chans_.size(); ++i) {
+    if (executing(i)) stepWatchdog(i, now);
   }
 }
 

@@ -14,7 +14,9 @@
 //    ownership bits hand descriptors to the device, chained next-pointers
 //    build multi-segment transfers, and completion events (a modeled
 //    interrupt) wake host-side futures in DmaRingDriver so software
-//    overlaps with device ticks.
+//    overlaps with device ticks. A fetch unit latches the next channel's
+//    chain while an issue unit streams the current one into the pipe, so
+//    back-to-back chains keep the pipe full (cesa's Tfetchnextdescr).
 //
 // The ring is UNTRUSTED INPUT: it lives in host memory a buggy or hostile
 // host can rewrite at any time, and the fault campaigns flip bits in it
@@ -193,7 +195,9 @@ inline constexpr unsigned kDescBytes = 64;
 //   +14 u16 seq
 //   +16 u64 desc_addr head descriptor address
 //   +24 u32 blocks
-//   +28 u32 exec_cycles
+//   +28 u32 exec_cycles  cycles from the chain's first block issue to the
+//                     completion write (0 if no block was ever issued); the
+//                     fetch and any wait for the issue unit are excluded
 inline constexpr unsigned kCompBytes = 32;
 
 inline constexpr std::uint32_t kRingOwned = 1u;   // descriptor flags bit 0
@@ -258,11 +262,23 @@ struct DmaRingStats {
 };
 
 // The device-side ring engine. One engine serves N channels (per-tenant
-// rings) over one shared fetch/exec unit, round-robin between descriptors;
-// a channel blocked on a full completion ring parks without holding the
-// exec unit. Drive it with tick() when the engine owns the device clock,
-// or register onDeviceTick() inside an accelerator tick hook to overlap
-// ring DMA with other traffic.
+// rings), each with at most one chain in flight, over two shared units:
+//
+//  * the fetch unit scans the channels round-robin, latches and validates
+//    the next ready chain, and holds it until the issue unit is free;
+//  * the issue unit streams one chain's blocks into the pipe, one per
+//    cycle, and passes to the latched chain on the cycle after the current
+//    chain issues its last block.
+//
+// Chains whose blocks have all been issued keep draining on their own
+// channel while the next chain issues; pipe responses are collected once
+// per cycle and routed by request id to the chain that issued them. A
+// draining chain's go-back retries take the issue unit ahead of fresh
+// blocks. The per-chain watchdog runs from the cycle a chain gets the
+// issue unit, never while it waits for it. A channel blocked on a full
+// completion ring parks without holding either unit. Drive the engine with
+// tick() when it owns the device clock, or register onDeviceTick() inside
+// an accelerator tick hook to overlap ring DMA with other traffic.
 class DmaRingEngine {
  public:
   DmaRingEngine(accel::AesAccelerator& acc, HostMemory& mem,
@@ -311,8 +327,11 @@ class DmaRingEngine {
   };
 
   // One latched chain in flight (the shadow copy every decision uses).
+  // Fetch: the fetch unit is latching it. Ready: latched, waiting for the
+  // issue unit. Exec: issuing or draining. Final: parked on a full
+  // completion ring.
   struct Chain {
-    enum class Phase { Fetch, Exec, Final };
+    enum class Phase { Fetch, Ready, Exec, Final };
     Phase phase = Phase::Fetch;
     unsigned channel = 0;
     std::size_t head_addr = 0;
@@ -338,7 +357,7 @@ class DmaRingEngine {
     unsigned submit_refusals = 0;   // consecutive refused submits
     unsigned attempts = 0;          // watchdog resubmit count
     std::uint64_t progress_cycle = 0;  // last cycle something completed
-    std::uint64_t start_cycle = 0;
+    std::optional<std::uint64_t> first_issue_cycle;  // exec_cycles origin
     bool suppressed = false;
     DmaError verdict = DmaError::None;
   };
@@ -351,9 +370,8 @@ class DmaRingEngine {
     bool doorbell = false;
     std::uint64_t next_poll_cycle = 0;
     std::function<void()> on_completion;
-    bool active = false;           // owns the fetch/exec unit
     bool parked = false;           // completed, waiting on a comp slot
-    std::optional<Chain> chain;    // in-flight transfer (active or parked)
+    std::optional<Chain> chain;    // in-flight transfer (any phase)
     std::uint64_t park_start = 0;
     bool park_watchdog_logged = false;
   };
@@ -363,25 +381,31 @@ class DmaRingEngine {
   }
   bool ringPageOk(const lattice::Label& user_label, std::size_t addr,
                   std::size_t len) const;
-  DmaError validateHead(Channel& ch, Chain& c);
   DmaError latchSegment(Chain& c, std::size_t addr, bool head);
   DmaError buildStream(Chain& c);
-  void startChannel(unsigned idx);
+  Chain* executing(unsigned idx);
+  void stepFetchUnit(std::uint64_t now);
   void stepFetch(unsigned idx);
-  void stepExec(unsigned idx);
+  void collectResponses(std::uint64_t now);
+  void routeResponse(const accel::BlockResponse& resp, std::uint64_t now);
+  void stepIssueUnit(std::uint64_t now);
+  void issueBlock(unsigned idx, std::uint64_t now);
+  void stepWatchdog(unsigned idx, std::uint64_t now);
   void finalize(unsigned idx);
   void writeBack(const Chain& c);
   bool tryWriteCompletion(unsigned idx);
   void handback(Channel& ch, const Chain& c);
   void resubmitChain(Chain& c);
   void noteViolation(const Chain& c, DmaError e);
+  void releaseUnits(unsigned idx);
   void finishChain(unsigned idx);
 
   accel::AesAccelerator& acc_;
   HostMemory& mem_;
   bool hardened_;
   std::vector<Channel> chans_;
-  int exec_owner_ = -1;   // channel index holding the fetch/exec unit
+  int fetch_owner_ = -1;  // channel whose chain the fetch unit holds
+  int issue_owner_ = -1;  // channel whose chain holds the issue unit
   unsigned rr_next_ = 0;  // round-robin scan start
   std::uint64_t next_req_ = (1ull << 41);
   DmaRingStats stats_;

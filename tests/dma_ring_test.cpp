@@ -521,5 +521,321 @@ TEST(DmaRing, AsyncBatchApiOverlapsCallerOwnedClock) {
   EXPECT_EQ(s.finishBatch(999).status(), accel::AccelStatus::Rejected);
 }
 
+// --- Overlapped chains -------------------------------------------------------
+
+// One engine, several ring channels. Channel c owns the 64 KiB span at
+// c * kSpan (rings in its first 4 KiB, source at +kSrc, destination at
+// +kDst), labelled for the tenant the channel serves; tenant t's key sits
+// in slot t + 1.
+struct MultiRing {
+  static constexpr std::size_t kSpan = 0x10000;
+  static constexpr std::size_t kSrc = 0x1000;
+  static constexpr std::size_t kDst = 0x8000;
+
+  AesAccelerator acc{AcceleratorConfig{SecurityMode::Protected, 10, 64,
+                                       false}};
+  std::vector<unsigned> users;
+  std::vector<aes::ExpandedKey> keys;
+  std::vector<unsigned> tenant;  // per channel
+  HostMemory mem;
+  DmaRingEngine eng{acc, mem};
+  std::vector<std::unique_ptr<DmaRingDriver>> drv;
+  // Per channel: sequence numbers in submission order, and the
+  // (seq, cycle) of every completion in the order it landed.
+  std::vector<std::vector<std::uint16_t>> submitted;
+  std::vector<std::vector<std::pair<std::uint16_t, std::uint64_t>>> landed;
+
+  MultiRing(const std::vector<std::vector<std::uint8_t>>& tenant_keys,
+            std::vector<unsigned> tenant_of_channel,
+            std::uint64_t watchdog_cycles = 4096)
+      : tenant{std::move(tenant_of_channel)}, mem{tenant.size() * kSpan} {
+    for (unsigned t = 0; t < tenant_keys.size(); ++t) {
+      const unsigned u =
+          acc.addUser(Principal::user("tenant" + std::to_string(t), t + 1));
+      EXPECT_TRUE(accel::loadKey128(acc, u, t + 1, 2 * t, tenant_keys[t],
+                                    acc.principal(u).authority.c));
+      users.push_back(u);
+      keys.push_back(aes::expandKey(tenant_keys[t], aes::KeySize::Aes128));
+    }
+    for (unsigned c = 0; c < tenant.size(); ++c) {
+      DmaRingConfig rc;
+      rc.desc_base = c * kSpan;
+      rc.desc_slots = 8;
+      rc.comp_base = c * kSpan + 0x400;
+      rc.comp_slots = 8;
+      rc.chain_base = c * kSpan + 0x800;
+      rc.chain_slots = 16;
+      rc.watchdog_cycles = watchdog_cycles;
+      const unsigned ch = eng.addChannel(rc);
+      drv.push_back(std::make_unique<DmaRingDriver>(eng, mem, ch, rc));
+      mem.setPageLabel(c * kSpan, kSpan,
+                       acc.principal(users[tenant[c]]).authority);
+    }
+    submitted.resize(tenant.size());
+    landed.resize(tenant.size());
+  }
+
+  static std::vector<std::uint8_t> bytes(std::size_t n, std::uint64_t seed) {
+    Rng rng{seed};
+    std::vector<std::uint8_t> v(n);
+    for (auto& b : v) b = static_cast<std::uint8_t>(rng.next());
+    return v;
+  }
+
+  // Stage `data` at offset `off` of channel c's source buffer and publish
+  // one descriptor over it (destination at the same offset).
+  std::uint16_t submit(unsigned c, DmaMode mode, std::size_t off,
+                       const std::vector<std::uint8_t>& data,
+                       const aes::Block& iv = {}) {
+    mem.writeBytes(c * kSpan + kSrc + off, data);
+    DmaDescriptor d;
+    d.user = users[tenant[c]];
+    d.key_slot = tenant[c] + 1;
+    d.mode = mode;
+    d.src = c * kSpan + kSrc + off;
+    d.dst = c * kSpan + kDst + off;
+    d.len = data.size();
+    d.ctr_iv = iv;
+    const auto seq = drv[c]->submit(d);
+    EXPECT_TRUE(seq.has_value());
+    submitted[c].push_back(seq.value_or(0));
+    return seq.value_or(0);
+  }
+
+  std::vector<std::uint8_t> golden(unsigned c, DmaMode mode,
+                                   const std::vector<std::uint8_t>& in,
+                                   const aes::Block& iv = {}) const {
+    const aes::ExpandedKey& k = keys[tenant[c]];
+    if (mode == DmaMode::EcbEncrypt) return aes::ecbEncrypt(in, k);
+    if (mode == DmaMode::EcbDecrypt) return aes::ecbDecrypt(in, k);
+    aes::Iv nonce{};
+    std::copy(iv.begin(), iv.end(), nonce.begin());
+    return aes::ctrCrypt(in, k, nonce);
+  }
+
+  std::vector<std::uint8_t> output(unsigned c, std::size_t off,
+                                   std::size_t len) const {
+    return mem.readBytes(c * kSpan + kDst + off, len);
+  }
+
+  bool allLanded() const {
+    for (unsigned c = 0; c < tenant.size(); ++c)
+      if (landed[c].size() < submitted[c].size()) return false;
+    return true;
+  }
+
+  // Tick until every submitted descriptor resolved (or the budget runs
+  // out), noting the cycle each completion landed.
+  void run(std::uint64_t budget) {
+    for (std::uint64_t i = 0; i < budget && !allLanded(); ++i) {
+      eng.tick();
+      for (unsigned c = 0; c < tenant.size(); ++c) {
+        for (std::size_t k = landed[c].size(); k < submitted[c].size(); ++k) {
+          if (drv[c]->done(submitted[c][k]))
+            landed[c].emplace_back(submitted[c][k], acc.cycle());
+        }
+      }
+    }
+  }
+};
+
+std::vector<std::vector<std::uint8_t>> tenantKeys(unsigned n,
+                                                  std::uint64_t seed) {
+  std::vector<std::vector<std::uint8_t>> keys;
+  for (unsigned t = 0; t < n; ++t) keys.push_back(MultiRing::bytes(16, seed + t));
+  return keys;
+}
+
+TEST(DmaRingOverlap, FourChannelsKeepThePipeFull) {
+  // Four tenants, six 256-block descriptors outstanding on each channel.
+  // The fetch unit latches the next channel's chain while the current one
+  // issues, so the issue unit never idles between chains.
+  MultiRing r{tenantKeys(4, 0xf00), {0, 1, 2, 3}};
+  constexpr unsigned kDescs = 6;
+  constexpr std::size_t kLen = 256 * 16;
+  const DmaMode modes[] = {DmaMode::EcbEncrypt, DmaMode::EcbDecrypt,
+                           DmaMode::CtrCrypt};
+  struct Sent {
+    DmaMode mode;
+    aes::Block iv;
+    std::vector<std::uint8_t> in;
+  };
+  std::vector<std::vector<Sent>> sent(4);
+  const std::uint64_t start = r.acc.cycle();
+  for (unsigned i = 0; i < kDescs; ++i) {
+    for (unsigned c = 0; c < 4; ++c) {
+      Sent s{modes[(i + c) % 3], {}, MultiRing::bytes(kLen, 100 * c + i)};
+      for (unsigned b = 0; b < 16; ++b)
+        s.iv[b] = static_cast<std::uint8_t>(c * 16 + i + b);
+      r.submit(c, s.mode, i * kLen, s.in, s.iv);
+      sent[c].push_back(std::move(s));
+    }
+  }
+  r.run(1u << 16);
+  ASSERT_TRUE(r.allLanded());
+  std::uint64_t last = 0;
+  for (unsigned c = 0; c < 4; ++c)
+    last = std::max(last, r.landed[c].back().second - start);
+  const double rate = 4.0 * kDescs * 256 / static_cast<double>(last);
+  EXPECT_GE(rate, 0.99) << "blocks per device cycle over " << last
+                        << " cycles";
+
+  for (unsigned c = 0; c < 4; ++c) {
+    // Exactly one completion per descriptor, in per-channel order.
+    ASSERT_EQ(r.landed[c].size(), kDescs);
+    for (unsigned i = 0; i < kDescs; ++i) {
+      EXPECT_EQ(r.landed[c][i].first, r.submitted[c][i]) << "channel " << c;
+      const DmaCompletion* comp = r.drv[c]->result(r.submitted[c][i]);
+      ASSERT_NE(comp, nullptr);
+      EXPECT_EQ(comp->status, DmaError::None) << toString(comp->status);
+      EXPECT_EQ(comp->blocks, 256u);
+      const Sent& s = sent[c][i];
+      EXPECT_EQ(r.output(c, i * kLen, kLen), r.golden(c, s.mode, s.in, s.iv))
+          << "channel " << c << " descriptor " << i;
+    }
+    EXPECT_EQ(r.drv[c]->duplicateCompletions(), 0u);
+    EXPECT_EQ(r.drv[c]->corruptCompletions(), 0u);
+  }
+  EXPECT_EQ(r.eng.stats().completed_ok, 4u * kDescs);
+  EXPECT_EQ(r.eng.stats().watchdog_fires, 0u);
+}
+
+TEST(DmaRingOverlap, SameUserChannelsRouteResponsesByRequestId) {
+  // Two channels of the same user with chains in flight at once share one
+  // output queue; each response must reach the chain that issued it. A
+  // fault squashes one of the first chain's blocks just after the second
+  // chain starts issuing, so the first chain's retry completes after the
+  // second chain's responses have started to arrive.
+  MultiRing r{tenantKeys(1, 0xa11), {0, 0}};
+  const auto a = MultiRing::bytes(256 * 16, 1);
+  const auto b = MultiRing::bytes(256 * 16, 2);
+  const std::uint64_t start = r.acc.cycle();
+  r.submit(0, DmaMode::EcbEncrypt, 0, a);
+  r.submit(1, DmaMode::EcbDecrypt, 0, b);
+  for (unsigned i = 0; i < 4096 && r.acc.stats().accepted <= 256; ++i)
+    r.eng.tick();
+  ASSERT_TRUE(r.acc.injectFault(accel::FaultSite::StageData,
+                                r.acc.pipeline().depth() / 2, 5));
+  r.run(8192);
+  ASSERT_TRUE(r.allLanded());
+  // The second chain issued while the first drained: both are done well
+  // before two back-to-back drains would allow.
+  EXPECT_LT(r.landed[1][0].second - start, 2 * (256 + 30));
+  for (unsigned c = 0; c < 2; ++c) {
+    const DmaCompletion* comp = r.drv[c]->result(r.submitted[c][0]);
+    ASSERT_NE(comp, nullptr);
+    EXPECT_EQ(comp->status, DmaError::None) << toString(comp->status);
+  }
+  EXPECT_EQ(r.output(0, 0, a.size()), r.golden(0, DmaMode::EcbEncrypt, a));
+  EXPECT_EQ(r.output(1, 0, b.size()), r.golden(1, DmaMode::EcbDecrypt, b));
+  EXPECT_EQ(r.eng.stats().watchdog_fires, 0u);
+  EXPECT_EQ(r.eng.stats().block_resubmits, 1u);
+}
+
+TEST(DmaRingOverlap, PrefetchedChainDoesNotRunItsWatchdogWhileWaiting) {
+  // A short chain is latched behind a 1024-block chain and waits ~1024
+  // cycles for the issue unit — four times the watchdog. Its progress
+  // clock (and exec_cycles) starts when it gets the issue unit.
+  MultiRing r{tenantKeys(2, 0xb0b), {0, 1}, /*watchdog_cycles=*/256};
+  const auto big = MultiRing::bytes(1024 * 16, 3);
+  const auto small = MultiRing::bytes(16 * 16, 4);
+  const std::uint64_t start = r.acc.cycle();
+  r.submit(0, DmaMode::EcbEncrypt, 0, big);
+  r.submit(1, DmaMode::EcbEncrypt, 0, small);
+  r.run(1u << 14);
+  ASSERT_TRUE(r.allLanded());
+  EXPECT_EQ(r.eng.stats().watchdog_fires, 0u);
+  EXPECT_EQ(r.eng.stats().recoveries, 0u);
+  const DmaCompletion* cb = r.drv[0]->result(r.submitted[0][0]);
+  const DmaCompletion* cs = r.drv[1]->result(r.submitted[1][0]);
+  ASSERT_NE(cb, nullptr);
+  ASSERT_NE(cs, nullptr);
+  EXPECT_EQ(cb->status, DmaError::None) << toString(cb->status);
+  EXPECT_EQ(cs->status, DmaError::None) << toString(cs->status);
+  EXPECT_EQ(r.output(0, 0, big.size()), r.golden(0, DmaMode::EcbEncrypt, big));
+  EXPECT_EQ(r.output(1, 0, small.size()),
+            r.golden(1, DmaMode::EcbEncrypt, small));
+  // The small chain waited behind the big one, yet its exec_cycles count
+  // only its own 16 blocks through the pipe.
+  EXPECT_GT(r.landed[1][0].second - start, 1024u);
+  EXPECT_LE(cs->exec_cycles, 16u + 2 * r.acc.pipeline().depth());
+  EXPECT_GE(cb->exec_cycles, 1024u);
+}
+
+TEST(DmaRingOverlap, RingResetOfDrainingChainWritesNothing) {
+  // Same user on both channels, so the reset chain's late responses land
+  // in the queue the surviving chain drains — they must be dropped.
+  MultiRing r{tenantKeys(1, 0xc0c), {0, 0}};
+  const auto a = MultiRing::bytes(256 * 16, 5);
+  const auto b = MultiRing::bytes(256 * 16, 6);
+  const auto dst_before = r.output(0, 0, a.size());
+  const std::uint16_t sa = r.submit(0, DmaMode::EcbEncrypt, 0, a);
+  r.submit(1, DmaMode::EcbEncrypt, 0, b);
+  // Run until channel 1's chain has started issuing: channel 0's chain has
+  // issued all its blocks and is draining.
+  for (unsigned i = 0; i < 4096 && r.acc.stats().accepted <= 256; ++i)
+    r.eng.tick();
+  ASSERT_GT(r.acc.stats().accepted, 256u);
+  ASSERT_FALSE(r.drv[0]->done(sa));
+  ASSERT_FALSE(r.eng.channelIdle(0));
+  r.eng.ringReset(0);
+  r.drv[0]->resync();
+  r.submitted[0].clear();
+  r.run(8192);
+  ASSERT_TRUE(r.allLanded());
+  // The reset chain wrote neither its destination nor a completion record.
+  EXPECT_EQ(r.output(0, 0, a.size()), dst_before);
+  for (unsigned s = 0; s < 8; ++s)
+    EXPECT_EQ(r.mem.read32(0x400 + s * kCompBytes) & kRingValid, 0u);
+  ASSERT_NE(r.drv[0]->result(sa), nullptr);
+  EXPECT_EQ(r.drv[0]->result(sa)->status, DmaError::RingStalled);
+  // The other channel's chain completes Ok, untouched by the reset.
+  const DmaCompletion* cb = r.drv[1]->result(r.submitted[1][0]);
+  ASSERT_NE(cb, nullptr);
+  EXPECT_EQ(cb->status, DmaError::None) << toString(cb->status);
+  EXPECT_EQ(r.output(1, 0, b.size()), r.golden(1, DmaMode::EcbEncrypt, b));
+  EXPECT_EQ(r.eng.stats().completed_ok, 1u);
+  EXPECT_EQ(r.eng.stats().watchdog_fires, 0u);
+}
+
+TEST(DmaRingOverlap, EveCompletionCyclesIndependentOfAliceSecrets) {
+  // Fig. 8 at the ring level: Alice and Eve share the engine's fetch and
+  // issue units and the pipe. With Alice's lengths held equal, Eve's
+  // per-descriptor completion cycles must not depend on Alice's key,
+  // plaintext or direction.
+  const std::size_t alice_len[] = {64 * 16, 200 * 16, 16 * 16, 500 * 16};
+  const std::size_t eve_len[] = {32 * 16, 128 * 16, 300 * 16, 8 * 16};
+  auto eveTrace = [&](std::uint64_t key_seed, std::uint64_t pt_seed,
+                      DmaMode alice_mode) {
+    auto keys = tenantKeys(2, 0xe7e);
+    keys[0] = MultiRing::bytes(16, key_seed);  // alice
+    MultiRing r{keys, {0, 1}};
+    std::size_t aoff = 0, eoff = 0;
+    for (unsigned i = 0; i < 4; ++i) {
+      r.submit(0, alice_mode, aoff,
+               MultiRing::bytes(alice_len[i], pt_seed + i));
+      r.submit(1, DmaMode::EcbEncrypt, eoff,
+               MultiRing::bytes(eve_len[i], 0xe0 + i));
+      aoff += alice_len[i];
+      eoff += eve_len[i];
+    }
+    r.run(1u << 14);
+    EXPECT_TRUE(r.allLanded());
+    std::vector<std::uint64_t> trace;
+    for (const auto& [seq, cycle] : r.landed[1]) {
+      trace.push_back(cycle);
+      const DmaCompletion* c = r.drv[1]->result(seq);
+      trace.push_back(c != nullptr ? c->exec_cycles : ~0ull);
+    }
+    return trace;
+  };
+  const auto base = eveTrace(1, 10, DmaMode::EcbEncrypt);
+  ASSERT_EQ(base.size(), 8u);
+  EXPECT_EQ(eveTrace(2, 10, DmaMode::EcbEncrypt), base) << "alice key";
+  EXPECT_EQ(eveTrace(1, 20, DmaMode::EcbEncrypt), base) << "alice plaintext";
+  EXPECT_EQ(eveTrace(1, 10, DmaMode::EcbDecrypt), base) << "alice direction";
+  EXPECT_EQ(eveTrace(1, 10, DmaMode::CtrCrypt), base) << "alice mode";
+}
+
 }  // namespace
 }  // namespace aesifc::soc
