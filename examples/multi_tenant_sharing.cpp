@@ -49,7 +49,7 @@ void serviceDegradedModeDemo() {
   scfg.health.window_cycles = 256;
   scfg.health.quarantine_residency_cycles = 512;
   scfg.health.recovery_windows = 1;
-  scfg.healthy_opts = {.timeout_cycles = 200};
+  scfg.healthy_timeout_cycles = 200;
   soc::AccelService svc{acc, scfg};
 
   const unsigned alice = acc.addUser(lattice::Principal::user("alice", 1));

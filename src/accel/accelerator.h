@@ -215,6 +215,7 @@ class AesAccelerator {
 
  private:
   friend class GcmSequencer;  // drives the datapaths on the op's behalf
+  friend class AccelSession;  // numbers its requests from next_req_id_
 
   struct PendingOutput {
     BlockResponse resp;
@@ -261,6 +262,9 @@ class AesAccelerator {
   bool coarse_active_ = false;
 
   std::uint64_t cycle_ = 0;
+  // Every AccelSession on this device numbers its requests from this one
+  // sequence, so a late response can never match another session's request.
+  std::uint64_t next_req_id_ = 1;
   Stats stats_;
   std::deque<SecurityEvent> events_;  // ring buffer, capped by event_log_cap
   std::uint64_t events_overflowed_ = 0;

@@ -1,7 +1,6 @@
 #include "accel/driver.h"
 
 #include <cstring>
-#include <map>
 
 namespace aesifc::accel {
 
@@ -63,131 +62,35 @@ AccelSession::AccelSession(AesAccelerator& acc, unsigned user,
                            unsigned key_slot, SessionOptions opts)
     : acc_{acc}, user_{user}, key_slot_{key_slot}, opts_{opts} {}
 
-AccelResult<std::vector<aes::Block>> AccelSession::runBatch(
-    const std::vector<aes::Block>& blocks, bool decrypt) {
+template <typename Attempt>
+auto AccelSession::retrying(Attempt attempt) -> decltype(attempt()) {
   const std::uint64_t start_cycle = acc_.cycle();
-  std::vector<aes::Block> out(blocks.size());
-
-  // Terminal per-block states. `order` maps every request id ever issued
-  // (across attempts) to its block index; an entry is erased when its
-  // response is consumed, so a duplicated response — or the late original
-  // racing a resubmission — can never be delivered twice.
-  enum class St : std::uint8_t { Pending, Done, Supp, Fail };
-  std::vector<St> st(blocks.size(), St::Pending);
-  std::map<std::uint64_t, std::size_t> order;
-
-  AccelStatus attempt_fail = AccelStatus::Ok;
-  std::vector<BlockResponse> drained;  // reused batch-drain buffer
-  auto drain = [&] {
-    drained.clear();
-    acc_.fetchOutputs(user_, drained);
-    for (const auto& resp : drained) {
-      auto it = order.find(resp.req_id);
-      if (it == order.end()) continue;  // unknown / already-consumed id
-      const std::size_t idx = it->second;
-      order.erase(it);
-      if (st[idx] == St::Done || st[idx] == St::Supp) continue;  // stale
-      if (resp.suppressed) {
-        st[idx] = St::Supp;  // security refusal: final, never retried
-      } else if (resp.fault_aborted || resp.dropped) {
-        st[idx] = St::Fail;
-        if (attempt_fail == AccelStatus::Ok) {
-          attempt_fail = resp.fault_aborted ? AccelStatus::FaultAborted
-                                            : AccelStatus::Dropped;
-        }
-      } else {
-        out[idx] = resp.data;
-        st[idx] = St::Done;
-      }
+  for (unsigned n = 0;; ++n) {
+    auto r = attempt();
+    // Suppressed and AuthFailed are final verdicts, Rejected is
+    // deterministic; only transient failures retry.
+    if (!isRetryable(r.status()) || n >= opts_.max_retries) {
+      (void)finishVerdict(r.status(), start_cycle);
+      return r;
     }
-  };
-  auto finish = [&](AccelStatus verdict) {
-    return finishVerdict(verdict, start_cycle);
-  };
-
-  for (unsigned attempt = 0;; ++attempt) {
-    // (Re)open failed blocks and collect this attempt's submission list.
-    std::vector<std::size_t> todo;
-    for (std::size_t i = 0; i < blocks.size(); ++i) {
-      if (st[i] == St::Fail) st[i] = St::Pending;
-      if (st[i] == St::Pending) todo.push_back(i);
-    }
-    attempt_fail = AccelStatus::Ok;
-    std::size_t submitted = 0;
-    const std::uint64_t attempt_start = acc_.cycle();
-    bool timed_out = false;
-    bool rejected = false;
-
-    while (true) {
-      bool any_open = false;
-      for (auto i : todo) {
-        if (st[i] == St::Pending) {
-          any_open = true;
-          break;
-        }
-      }
-      if (!any_open) break;
-      // One submission per cycle; skip blocks a late response from an
-      // earlier attempt already resolved.
-      while (submitted < todo.size() && st[todo[submitted]] != St::Pending)
-        ++submitted;
-      if (submitted < todo.size()) {
-        BlockRequest req;
-        req.req_id = next_req_++;
-        req.user = user_;
-        req.key_slot = key_slot_;
-        req.decrypt = decrypt;
-        req.data = blocks[todo[submitted]];
-        if (acc_.submit(req)) {
-          order[req.req_id] = todo[submitted];
-          ++submitted;
-        } else {
-          rejected = true;  // deterministic refusal (e.g. zeroized slot)
-          break;
-        }
-      }
-      acc_.tick();
-      drain();
-      if (acc_.cycle() - attempt_start >
-          opts_.timeout_cycles + todo.size()) {
-        timed_out = true;  // device wedged (e.g. permanently stalled)
-        break;
-      }
-    }
-
-    if (rejected) return finish(AccelStatus::Rejected);
-
-    bool need_retry = false;
-    for (auto s : st) {
-      if (s == St::Fail || s == St::Pending) {
-        need_retry = true;
-        break;
-      }
-    }
-    if (!need_retry) {
-      for (auto s : st) {
-        if (s == St::Supp) return finish(AccelStatus::Suppressed);
-      }
-      (void)finish(AccelStatus::Ok);
-      return out;
-    }
-
-    const AccelStatus verdict =
-        attempt_fail != AccelStatus::Ok
-            ? attempt_fail
-            : (timed_out ? AccelStatus::Timeout : AccelStatus::FaultAborted);
-    if (attempt >= opts_.max_retries) return finish(verdict);
-
-    // Bounded backoff before the retry; keep draining so in-flight
-    // responses from this attempt are still credited.
     ++retries_;
     acc_.noteRetry();
-    const std::uint64_t backoff = opts_.backoff_cycles << attempt;
-    for (std::uint64_t i = 0; i < backoff; ++i) {
-      acc_.tick();
-      drain();
-    }
+    const std::uint64_t backoff = opts_.backoff_cycles << n;
+    for (std::uint64_t i = 0; i < backoff; ++i) acc_.tick();
   }
+}
+
+AccelResult<std::vector<aes::Block>> AccelSession::runBatch(
+    const std::vector<aes::Block>& blocks, bool decrypt) {
+  return retrying([&] {
+    const std::uint64_t ticket = beginBatch(blocks, decrypt);
+    const std::uint64_t begin = acc_.cycle();
+    while (!pollBatch(ticket) &&
+           acc_.cycle() - begin <= opts_.timeout_cycles + blocks.size()) {
+      acc_.tick();
+    }
+    return retireBatch(ticket);
+  });
 }
 
 AccelStatus AccelSession::finishVerdict(AccelStatus verdict,
@@ -209,7 +112,7 @@ AccelStatus AccelSession::finishVerdict(AccelStatus verdict,
 void AccelSession::asyncSubmit(std::uint64_t ticket, AsyncBatch& b) {
   while (b.submitted < b.blocks.size()) {
     BlockRequest req;
-    req.req_id = next_req_;
+    req.req_id = acc_.next_req_id_;
     req.user = user_;
     req.key_slot = key_slot_;
     req.decrypt = b.decrypt;
@@ -219,7 +122,7 @@ void AccelSession::asyncSubmit(std::uint64_t ticket, AsyncBatch& b) {
       return;
     }
     async_order_[req.req_id] = {ticket, b.submitted};
-    ++next_req_;
+    ++acc_.next_req_id_;
     ++b.submitted;
   }
 }
@@ -280,45 +183,37 @@ bool AccelSession::pollBatch(std::uint64_t ticket) {
 
 AccelResult<std::vector<aes::Block>> AccelSession::finishBatch(
     std::uint64_t ticket, std::uint64_t max_wait_cycles) {
-  auto it = async_batches_.find(ticket);
-  if (it == async_batches_.end()) return AccelStatus::Rejected;
+  if (!async_batches_.contains(ticket)) return AccelStatus::Rejected;
   const std::uint64_t start = acc_.cycle();
   std::uint64_t waited = 0;
   while (!pollBatch(ticket) && waited < max_wait_cycles) {
     acc_.tick();
     ++waited;
   }
-  AsyncBatch b = retireBatch(it);
-  if (b.rejected) return finishVerdict(AccelStatus::Rejected, start);
-  if (b.transient) return finishVerdict(*b.transient, start);
-  if (b.resolved < b.blocks.size()) {
-    return finishVerdict(AccelStatus::Timeout, start);
-  }
-  if (b.any_suppressed) return finishVerdict(AccelStatus::Suppressed, start);
-  (void)finishVerdict(AccelStatus::Ok, start);
-  return std::move(b.out);
+  auto r = retireBatch(ticket);
+  (void)finishVerdict(r.status(), start);
+  return r;
 }
 
-AccelSession::AsyncBatch AccelSession::retireBatch(
-    std::map<std::uint64_t, AsyncBatch>::iterator it) {
-  const std::uint64_t ticket = it->first;
+AccelResult<std::vector<aes::Block>> AccelSession::retireBatch(
+    std::uint64_t ticket) {
+  auto it = async_batches_.find(ticket);
+  if (it == async_batches_.end()) return AccelStatus::Rejected;
   AsyncBatch b = std::move(it->second);
   async_batches_.erase(it);
   // Orphan this batch's remaining request ids so late responses are
   // dropped instead of dangling in the routing map.
-  for (auto oit = async_order_.begin(); oit != async_order_.end();) {
-    if (oit->second.first == ticket) {
-      oit = async_order_.erase(oit);
-    } else {
-      ++oit;
-    }
-  }
-  return b;
+  std::erase_if(async_order_,
+                [&](const auto& e) { return e.second.first == ticket; });
+  if (b.rejected) return AccelStatus::Rejected;
+  if (b.transient) return *b.transient;
+  if (b.resolved < b.blocks.size()) return AccelStatus::Timeout;
+  if (b.any_suppressed) return AccelStatus::Suppressed;
+  return std::move(b.out);
 }
 
 void AccelSession::cancelBatch(std::uint64_t ticket) {
-  auto it = async_batches_.find(ticket);
-  if (it != async_batches_.end()) retireBatch(it);
+  (void)retireBatch(ticket);
 }
 
 AccelResult<aes::Block> AccelSession::encryptBlock(const aes::Block& pt) {
@@ -393,7 +288,7 @@ AccelResult<aes::Bytes> AccelSession::cbcDecrypt(const aes::Bytes& data,
 }
 
 std::uint64_t AccelSession::beginGcm(GcmRequest req) {
-  req.req_id = next_req_++;
+  req.req_id = acc_.next_req_id_++;
   req.user = user_;
   req.key_slot = key_slot_;
   AsyncGcm g;
@@ -473,23 +368,12 @@ AccelResult<GcmResponse> AccelSession::finishGcm(std::uint64_t ticket) {
 
 void AccelSession::cancelGcm(std::uint64_t ticket) { async_gcm_.erase(ticket); }
 
-AccelResult<GcmResponse> AccelSession::runGcm(GcmRequest req) {
-  const std::uint64_t start_cycle = acc_.cycle();
-  for (unsigned attempt = 0;; ++attempt) {
+AccelResult<GcmResponse> AccelSession::runGcm(const GcmRequest& req) {
+  return retrying([&] {
     const std::uint64_t ticket = beginGcm(req);
     while (!pollGcm(ticket)) acc_.tick();
-    auto r = retireGcm(ticket);
-    // Suppressed and AuthFailed are final verdicts, Rejected is
-    // deterministic; only transient failures retry.
-    if (!isRetryable(r.status()) || attempt >= opts_.max_retries) {
-      (void)finishVerdict(r.status(), start_cycle);
-      return r;
-    }
-    ++retries_;
-    acc_.noteRetry();
-    const std::uint64_t backoff = opts_.backoff_cycles << attempt;
-    for (std::uint64_t i = 0; i < backoff; ++i) acc_.tick();
-  }
+    return retireGcm(ticket);
+  });
 }
 
 AccelResult<GcmSealed> AccelSession::gcmSeal(
@@ -501,7 +385,7 @@ AccelResult<GcmSealed> AccelSession::gcmSeal(
   req.iv = iv;
   req.aad = aad;
   req.data = plaintext;
-  auto r = runGcm(std::move(req));
+  auto r = runGcm(req);
   if (!r) return r.status();
   return GcmSealed{std::move(r->data), r->tag};
 }
@@ -516,7 +400,7 @@ AccelResult<std::vector<std::uint8_t>> AccelSession::gcmOpen(
   req.aad = aad;
   req.data = ciphertext;
   req.tag = tag;
-  auto r = runGcm(std::move(req));
+  auto r = runGcm(req);
   if (!r) return r.status();
   return std::move(r->data);
 }

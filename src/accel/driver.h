@@ -1,18 +1,21 @@
 #pragma once
 // Software driver layer: what a kernel driver / user library would run on
-// the host CPU to use the accelerator. `AccelSession` is one user's handle;
-// it performs synchronous block operations and block-cipher modes by
-// submitting work and ticking the device until completion.
+// the host CPU to use the accelerator. `AccelSession` is one user's handle.
+// Its one submit/collect loop is the caller-clocked ticket (beginBatch /
+// pollBatch, beginGcm / pollGcm); the synchronous block, mode and GCM calls
+// are built on it: one attempt is one ticket, ticked until it is terminal
+// or its watchdog expires, then retired.
 //
 // The driver is written for an imperfect device and an imperfect bus: every
 // operation returns an `AccelResult` whose status distinguishes a security
 // refusal (`Suppressed` — never retried) from transient failures
 // (`Timeout`, `FaultAborted`, `Dropped` — retried with bounded backoff when
 // the session is configured for it) and a deterministic refusal at the
-// submit port (`Rejected`, e.g. a zeroized key slot). Duplicated responses
-// are consumed at most once; responses from abandoned attempts are
-// recognized by request id and still credited, so a retry can never
-// double-deliver.
+// submit port (`Rejected`, e.g. a zeroized key slot). A retry reissues the
+// whole ticket (go-back-N); the abandoned attempt's request ids are
+// orphaned, so its late or duplicated responses are dropped and a retry can
+// never double-deliver. Request ids come from one sequence per device, so
+// no session ever credits another session's response.
 //
 // The mode helpers also document a real architectural point of pipelined
 // engines: ECB/CTR submit one block per cycle and ride the full 51.2 Gbps
@@ -86,8 +89,9 @@ class AccelResult {
   std::optional<T> value_;
 };
 
-// Per-session robustness knobs. The defaults reproduce the historical
-// behavior: one attempt, 4096-cycle watchdog, no retries.
+// Per-session robustness knobs for the synchronous calls. The defaults
+// reproduce the historical behavior: one attempt, 4096-cycle watchdog, no
+// retries.
 struct SessionOptions {
   std::uint64_t timeout_cycles = 4096;  // watchdog per attempt
   unsigned max_retries = 0;       // extra attempts for retryable failures
@@ -162,11 +166,10 @@ class AccelSession {
   // consumes any completions that have arrived (no ticking) and reports
   // whether the batch reached a terminal state; finishBatch retires the
   // ticket and returns the verdict, optionally ticking up to
-  // `max_wait_cycles` first. Unlike the synchronous helpers there is NO
-  // automatic retry here: the first transient failure (fault abort / drop)
-  // becomes the batch verdict and the caller decides what to resubmit —
-  // exactly the contract the DMA ring engine needs for idempotent
-  // recovery. Several batches may be outstanding at once.
+  // `max_wait_cycles` first. There is NO retry here: the first transient
+  // failure (fault abort / drop) becomes the batch verdict and the caller
+  // decides what to reissue (the synchronous helpers and the service
+  // reissue the whole ticket). Several batches may be outstanding at once.
   std::uint64_t beginBatch(const std::vector<aes::Block>& blocks,
                            bool decrypt);
   bool pollBatch(std::uint64_t ticket);  // true once terminal (or unknown)
@@ -220,18 +223,24 @@ class AccelSession {
   // Cumulative terminal-outcome counts (see SessionTelemetry).
   const SessionTelemetry& telemetry() const { return telemetry_; }
   // Retune the robustness knobs mid-session (a degraded-mode service
-  // tightens the watchdog and retry budget without reopening the session).
+  // tightens the watchdog, a canary probe sets its own retry budget).
   void setOptions(const SessionOptions& opts) { opts_ = opts; }
   const SessionOptions& options() const { return opts_; }
 
  private:
-  // Submit `blocks` (optionally XORed against `chain` upstream by caller),
-  // pipelined, and collect responses in submission order — resubmitting
-  // failed blocks up to the retry budget.
+  // Run `blocks` as one batch ticket per attempt, clocked until it is
+  // terminal or its watchdog (timeout_cycles + one cycle per block)
+  // expires; a transient verdict reissues the whole batch.
   AccelResult<std::vector<aes::Block>> runBatch(
       const std::vector<aes::Block>& blocks, bool decrypt);
-  // Run one GCM op synchronously, retrying transient failures.
-  AccelResult<GcmResponse> runGcm(GcmRequest req);
+  // Run one GCM op as one GCM ticket per attempt, clocked to its verdict.
+  AccelResult<GcmResponse> runGcm(const GcmRequest& req);
+  // The one retry loop of the synchronous calls: run `attempt` (which
+  // returns a retired ticket's outcome, recording nothing), reissue it
+  // after a doubling backoff while the outcome is transient and the
+  // max_retries budget lasts, then record the final verdict once.
+  template <typename Attempt>
+  auto retrying(Attempt attempt) -> decltype(attempt());
 
   // One outstanding GCM op (beginGcm/pollGcm/finishGcm), keyed by req id.
   struct AsyncGcm {
@@ -269,8 +278,9 @@ class AccelSession {
            b.resolved == b.blocks.size();
   }
   void asyncSubmit(std::uint64_t ticket, AsyncBatch& b);
-  // Remove a ticket and orphan its outstanding request ids.
-  AsyncBatch retireBatch(std::map<std::uint64_t, AsyncBatch>::iterator it);
+  // Remove a ticket, orphan its outstanding request ids and map its outcome
+  // to a status, recording nothing (Rejected for an unknown ticket).
+  AccelResult<std::vector<aes::Block>> retireBatch(std::uint64_t ticket);
   void asyncDrain();
   // Record one terminal verdict (cycles, last status, telemetry).
   AccelStatus finishVerdict(AccelStatus verdict, std::uint64_t start_cycle);
@@ -285,7 +295,6 @@ class AccelSession {
   std::map<std::uint64_t, AsyncGcm> async_gcm_;
   std::vector<BlockResponse> drained_;  // asyncDrain's reused buffer
   std::uint64_t next_ticket_ = 1;
-  std::uint64_t next_req_ = 1;
   std::uint64_t cycles_used_ = 0;
   std::uint64_t retries_ = 0;
   AccelStatus last_status_ = AccelStatus::Ok;

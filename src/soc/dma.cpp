@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "accel/driver.h"
 #include "accel/key_store.h"
 
 namespace aesifc::soc {
@@ -156,7 +157,22 @@ bool dstPagesOk(const accel::AesAccelerator& acc, const HostMemory& mem,
   return true;
 }
 
-constexpr std::uint64_t kSyncWatchdogSlack = 4096;
+// The synchronous engine's session: one retry of a transient failure, with
+// a watchdog short enough that both attempts plus the backoff,
+// 2 * (2016 + n + 1) + 32 = 4066 + 2n cycles for n blocks, stay within the
+// 4097 + 2n that the engine's former single watchdog allowed.
+constexpr accel::SessionOptions kSyncSession{
+    .timeout_cycles = 2016, .max_retries = 1, .backoff_cycles = 32};
+
+DmaError toDmaError(accel::AccelStatus s) {
+  switch (s) {
+    case accel::AccelStatus::Ok: return DmaError::None;
+    case accel::AccelStatus::Suppressed: return DmaError::OutputSuppressed;
+    case accel::AccelStatus::Rejected: return DmaError::Rejected;
+    case accel::AccelStatus::Timeout: return DmaError::Timeout;
+    default: return DmaError::FaultAborted;  // FaultAborted, Dropped
+  }
+}
 
 }  // namespace
 
@@ -189,97 +205,20 @@ DmaResult DmaEngine::run(const DmaDescriptor& d) {
     return refuse(DmaError::DstPageDenied);
   }
 
-  const std::uint64_t start_cycle = acc_.cycle();
-  const std::size_t nblocks = (d.len + 15) / 16;
-  const bool decrypt = d.mode == DmaMode::EcbDecrypt;
-
-  // Latch the block stream (data blocks for ECB, counter blocks for CTR)
-  // and, for CTR, the plaintext the keystream is XORed with — every input
-  // byte is read exactly once, before any output byte is written.
-  std::vector<aes::Block> stream(nblocks);
-  std::vector<std::uint8_t> xor_src;
-  aes::Block ctr = d.ctr_iv;
-  for (std::size_t i = 0; i < nblocks; ++i) {
-    if (d.mode == DmaMode::CtrCrypt) {
-      stream[i] = ctr;
-      for (int b = 15; b >= 8; --b) {
-        if (++ctr[static_cast<unsigned>(b)] != 0) break;
-      }
-    } else {
-      const std::size_t n = std::min<std::size_t>(16, d.len - 16 * i);
-      for (std::size_t b = 0; b < n; ++b)
-        stream[i][b] = mem_.read8(d.src + 16 * i + b);
-    }
-  }
-  if (d.mode == DmaMode::CtrCrypt) xor_src = mem_.readBytes(d.src, d.len);
-
-  // Stream through the pipeline: submit up to one block per cycle, collect
-  // completions as they appear; transient losses (fault aborts, overflow
-  // drops) are resubmitted, bounded by the watchdog below.
-  std::vector<aes::Block> out(nblocks);
-  std::vector<char> got(nblocks, 0);
-  std::deque<std::size_t> pending;
-  for (std::size_t i = 0; i < nblocks; ++i) pending.push_back(i);
-  std::unordered_map<std::uint64_t, std::size_t> inflight;
-  std::size_t done = 0;
-  bool suppressed = false;
-  while (done < nblocks) {
-    if (!pending.empty()) {
-      const std::size_t idx = pending.front();
-      accel::BlockRequest req;
-      req.req_id = next_req_;
-      req.user = d.user;
-      req.key_slot = d.key_slot;
-      req.decrypt = decrypt && d.mode != DmaMode::CtrCrypt;
-      req.data = stream[idx];
-      if (acc_.submit(req)) {
-        inflight.emplace(next_req_, idx);
-        ++next_req_;
-        pending.pop_front();
-      }
-    }
-    acc_.tick();
-    while (auto resp = acc_.fetchOutput(d.user)) {
-      auto it = inflight.find(resp->req_id);
-      if (it == inflight.end()) continue;  // stale or foreign response
-      const std::size_t idx = it->second;
-      inflight.erase(it);
-      if (resp->fault_aborted || resp->dropped) {
-        pending.push_back(idx);  // transient: resubmit
-        continue;
-      }
-      if (resp->suppressed) suppressed = true;
-      if (!got[idx]) {
-        got[idx] = 1;
-        out[idx] = resp->data;
-        ++done;
-      }
-    }
-    if (acc_.cycle() - start_cycle > kSyncWatchdogSlack + 2 * nblocks) {
-      r.error = DmaError::Timeout;
-      r.cycles = acc_.cycle() - start_cycle;
-      return r;
-    }
-  }
-  if (suppressed) {
-    r.error = DmaError::OutputSuppressed;
-    r.cycles = acc_.cycle() - start_cycle;
-    return r;
-  }
-
-  // Buffered writeback: nothing was written until every block succeeded.
-  for (std::size_t i = 0; i < nblocks; ++i) {
-    const std::size_t n = std::min<std::size_t>(16, d.len - 16 * i);
-    for (std::size_t b = 0; b < n; ++b) {
-      std::uint8_t v = out[i][b];
-      if (d.mode == DmaMode::CtrCrypt) v ^= xor_src[16 * i + b];
-      mem_.write8(d.dst + 16 * i + b, v);
-    }
-  }
+  // Latch every input byte before any output byte is written, then stream
+  // the blocks through one driver session; the writeback is buffered, so a
+  // failed transfer writes nothing.
+  const aes::Bytes in = mem_.readBytes(d.src, d.len);
+  accel::AccelSession session{acc_, d.user, d.key_slot, kSyncSession};
+  const auto out = d.mode == DmaMode::CtrCrypt ? session.ctrCrypt(in, d.ctr_iv)
+                   : d.mode == DmaMode::EcbDecrypt ? session.ecbDecrypt(in)
+                                                   : session.ecbEncrypt(in);
+  r.cycles = session.cyclesUsed();
+  r.error = toDmaError(out.status());
+  if (!out) return r;
+  mem_.writeBytes(d.dst, *out);
   r.ok = true;
-  r.error = DmaError::None;
-  r.blocks = nblocks;
-  r.cycles = acc_.cycle() - start_cycle;
+  r.blocks = (d.len + 15) / 16;
   return r;
 }
 

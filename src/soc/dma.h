@@ -5,8 +5,8 @@
 //
 //  * DmaEngine — the legacy synchronous path: software hands the engine one
 //    in-register descriptor and blocks while the engine streams it through
-//    the accelerator. Kept as the baseline the descriptor-ring path is
-//    benchmarked against (bench_dma).
+//    the accelerator on a driver session. Kept as the baseline the
+//    descriptor-ring path is benchmarked against (bench_dma).
 //
 //  * DmaRingEngine — the scatter-gather descriptor-ring data path (modeled
 //    on the cesa TDescr/Tdmaowned and s805 descriptor-table exemplars).
@@ -149,8 +149,13 @@ struct DmaResult {
 };
 
 // Synchronous MMIO-style engine: executes one descriptor to completion
-// while the caller blocks (ticks the accelerator internally). The baseline
-// the ring path amortizes against.
+// while the caller blocks. The baseline the ring path amortizes against.
+// run() validates the descriptor, reads every input byte, streams the
+// blocks through one accel::AccelSession (ecbEncrypt / ecbDecrypt /
+// ctrCrypt, the CTR counter in the low 64 bits, big-endian) and writes the
+// destination only on success. A transient failure is retried once; every
+// descriptor gets its verdict within 4066 + 2n device cycles for n blocks
+// (a refused submit, e.g. an unloaded key slot, at once as Rejected).
 class DmaEngine {
  public:
   DmaEngine(accel::AesAccelerator& acc, HostMemory& mem)
@@ -161,7 +166,6 @@ class DmaEngine {
  private:
   accel::AesAccelerator& acc_;
   HostMemory& mem_;
-  std::uint64_t next_req_ = (1ull << 40);
 };
 
 // ---------------------------------------------------------------------------

@@ -396,7 +396,7 @@ unsigned EnginePool::pump() {
 }
 
 void EnginePool::runUntilIdle(std::uint64_t max_device_cycles_per_shard) {
-  if (cfg_.parallel_drain && activeShards() > 1) {
+  if (activeShards() > 1) {
     std::vector<std::thread> workers;
     workers.reserve(shards_.size());
     for (auto& sh : shards_) {

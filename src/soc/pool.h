@@ -86,9 +86,6 @@ struct PoolConfig {
   // tenants (counting the newcomer). 2.0 keeps placement sticky under
   // balanced load but stops pathological hash clumping.
   double spill_factor = 2.0;
-  // Drain shards on one worker thread each in runUntilIdle(). Safe (and
-  // bit-identical to the serial drain) because shards share nothing.
-  bool parallel_drain = true;
   // Device-cycle budget for the drain / slot-quiesce barriers inside
   // migrateTenant and retireShard.
   std::uint64_t migrate_drain_cycles = 1u << 16;
@@ -205,8 +202,8 @@ class EnginePool {
   unsigned pump();
 
   // Drain every active shard until idle, each within its own device-cycle
-  // budget. Uses one thread per shard when cfg.parallel_drain (results
-  // identical to the serial order — shards share nothing).
+  // budget. Uses one thread per shard when more than one shard is active
+  // (results identical to the serial order — shards share nothing).
   void runUntilIdle(std::uint64_t max_device_cycles_per_shard);
 
   unsigned shards() const { return static_cast<unsigned>(shards_.size()); }

@@ -103,7 +103,9 @@ std::optional<unsigned> AccelService::tryAddTenant(const TenantSpec& spec) {
   }
   const unsigned t = static_cast<unsigned>(tenants_.size());
   tenants_.push_back(spec);
-  sessions_.emplace_back(acc_, spec.user, spec.key_slot, cfg_.healthy_opts);
+  sessions_.emplace_back(
+      acc_, spec.user, spec.key_slot,
+      accel::SessionOptions{.timeout_cycles = cfg_.healthy_timeout_cycles});
   golden_.push_back(aes::expandKey(spec.key, aes::KeySize::Aes128));
   blocks_.emplace_back();
   aead_.emplace_back();
@@ -308,9 +310,10 @@ void AccelService::logTransitions() {
 }
 
 void AccelService::applyStateOptions() {
-  const auto& opts = monitor_.state() == HealthState::Degraded
-                         ? cfg_.degraded_opts
-                         : cfg_.healthy_opts;
+  const accel::SessionOptions opts{
+      .timeout_cycles = monitor_.state() == HealthState::Degraded
+                            ? cfg_.degraded_timeout_cycles
+                            : cfg_.healthy_timeout_cycles};
   for (auto& s : sessions_) s.setOptions(opts);
 }
 

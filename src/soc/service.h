@@ -77,13 +77,12 @@ struct ServiceConfig {
   // while traffic is off the hardware.
   unsigned fallback_cycles_per_block = 40;
   HealthConfig health;
-  // Driver options for the Healthy hardware path — only timeout_cycles
-  // matters: it is the per-block watchdog, and an AEAD op's watchdog is it
-  // plus two cycles per AES block…
-  accel::SessionOptions healthy_opts{.timeout_cycles = 1024};
-  // …and the tightened Degraded one (a shorter watchdog, so a sick device
-  // wastes less of everyone's cycle budget per failure).
-  accel::SessionOptions degraded_opts{.timeout_cycles = 256};
+  // Per-block watchdog of the Healthy hardware path (an AEAD op's watchdog
+  // is it plus two cycles per AES block)…
+  std::uint64_t healthy_timeout_cycles = 1024;
+  // …and the tightened Degraded one (a sick device wastes less of
+  // everyone's cycle budget per failure).
+  std::uint64_t degraded_timeout_cycles = 256;
   // Canary probe options (probation must not hang on a wedged device).
   accel::SessionOptions canary_opts{.timeout_cycles = 512,
                                     .max_retries = 1,

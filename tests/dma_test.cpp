@@ -274,6 +274,80 @@ INSTANTIATE_TEST_SUITE_P(BothModes, DmaFixture,
                          ::testing::Values(SecurityMode::Baseline,
                                            SecurityMode::Protected));
 
+// --- Fail-live: every descriptor gets its verdict within a bound ------------------
+
+// One user with a loaded key in slot 1 and a labeled 4-block src/dst pair.
+struct LiveRig {
+  AesAccelerator acc{AcceleratorConfig{}};
+  unsigned u = acc.addUser(Principal::user("alice", 1));
+  HostMemory mem{4 * kPageBytes};
+  std::vector<std::uint8_t> key = std::vector<std::uint8_t>(16, 0x3c);
+  DmaDescriptor d;
+
+  LiveRig() {
+    EXPECT_TRUE(accel::loadKey128(acc, u, 1, 0, key, Conf::category(1)));
+    mem.setPageLabel(0, mem.size(), acc.principal(u).authority);
+    d.user = u;
+    d.key_slot = 1;
+    d.src = 0;
+    d.dst = 2 * kPageBytes;
+    d.len = 64;
+    fill(0x11);
+  }
+  void fill(std::uint8_t v) {
+    mem.writeBytes(d.src, std::vector<std::uint8_t>(d.len, v));
+  }
+  std::vector<std::uint8_t> dst() const { return mem.readBytes(d.dst, d.len); }
+};
+
+// The worst-case time to a verdict the engine must stay within: its former
+// single watchdog of 4096 + 2 cycles per block, checked after each tick.
+std::uint64_t formerTimeoutBound(std::size_t blocks) {
+  return 4096 + 2 * blocks + 1;
+}
+
+TEST(DmaEngineLiveness, UnloadedKeySlotIsRejectedAtOnce) {
+  LiveRig r;
+  r.d.key_slot = 2;  // never loaded
+  const auto before_dst = r.dst();
+  const std::uint64_t before = r.acc.cycle();
+  DmaEngine dma{r.acc, r.mem};
+  const auto res = dma.run(r.d);
+  EXPECT_FALSE(res.ok);
+  EXPECT_EQ(res.error, DmaError::Rejected);
+  EXPECT_LE(r.acc.cycle() - before, 2u);
+  EXPECT_EQ(r.dst(), before_dst);
+}
+
+TEST(DmaEngineLiveness, ReceiverNeverReadyTimesOutWithinTheFormerBound) {
+  LiveRig r;
+  r.acc.setReceiverReady(r.u, false);
+  const auto before_dst = r.dst();
+  const std::uint64_t before = r.acc.cycle();
+  DmaEngine dma{r.acc, r.mem};
+  const auto res = dma.run(r.d);
+  EXPECT_EQ(res.error, DmaError::Timeout);
+  EXPECT_LE(r.acc.cycle() - before, formerTimeoutBound(4));
+  EXPECT_EQ(res.cycles, r.acc.cycle() - before);
+  EXPECT_EQ(r.dst(), before_dst);
+}
+
+// A timed-out run leaves its requests parked in the device. Once the
+// receiver is ready again they complete while the next run streams, and
+// they must not be credited to that run's blocks.
+TEST(DmaEngineLiveness, TimedOutRunsLateResponsesNeverReachTheNextRun) {
+  LiveRig r;
+  DmaEngine dma{r.acc, r.mem};
+  r.acc.setReceiverReady(r.u, false);
+  ASSERT_EQ(dma.run(r.d).error, DmaError::Timeout);
+  r.acc.setReceiverReady(r.u, true);
+  r.fill(0x22);
+  const auto res = dma.run(r.d);
+  ASSERT_TRUE(res.ok) << toString(res.error);
+  const auto ek = aes::expandKey(r.key, aes::KeySize::Aes128);
+  EXPECT_EQ(r.dst(), aes::ecbEncrypt(std::vector<std::uint8_t>(64, 0x22), ek));
+}
+
 // --- The attack ------------------------------------------------------------------
 
 TEST(DmaTheft, BaselineStealsAlicePlaintext) {

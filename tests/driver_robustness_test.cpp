@@ -1,13 +1,16 @@
 // Driver failure-path tests: the watchdog turns a wedged device into a
 // Timeout (never a hang, never a misreported security refusal), duplicated
 // responses are consumed at most once, dropped responses are recovered by
-// bounded retry without double delivery, and non-retryable outcomes
-// (Suppressed, Rejected) are final on the first attempt.
+// bounded retry without double delivery, a retry reissues the whole batch
+// or GCM op, and non-retryable outcomes (Suppressed, Rejected) are final on
+// the first attempt.
 
 #include <gtest/gtest.h>
 
 #include "accel/driver.h"
 #include "aes/cipher.h"
+#include "aes/gcm.h"
+#include "aes/modes.h"
 
 namespace aesifc::accel {
 namespace {
@@ -22,12 +25,12 @@ std::vector<std::uint8_t> testKey() {
 }
 
 struct Rig {
-  AesAccelerator acc{AcceleratorConfig{}};
+  AesAccelerator acc;
   unsigned sup;
   unsigned alice;
   aes::ExpandedKey golden = aes::expandKey(testKey(), aes::KeySize::Aes128);
 
-  Rig() {
+  explicit Rig(AcceleratorConfig cfg = {}) : acc{cfg} {
     sup = acc.addUser(Principal::supervisor());
     alice = acc.addUser(Principal::user("alice", 1));
     EXPECT_TRUE(loadKey128(acc, alice, 1, 0, testKey(), Conf::category(1)));
@@ -188,6 +191,125 @@ TEST(DriverRobustness, LateResponseAfterExpiredWatchdogAndCompletedRetry) {
 
   // Terminal-outcome telemetry: exactly the operations we ran, all Ok.
   EXPECT_EQ(s.telemetry().ok, 3u);
+  EXPECT_EQ(s.telemetry().transientFailures(), 0u);
+}
+
+// Overflow-drops exactly one of Alice's responses mid-stream. There is no
+// overflow buffer, so in the one cycle her receiver is not ready while
+// Eve's block (an incomparable label) is in the pipe, the Fig. 8 stall is
+// denied and Alice's completion in the last stage becomes a `dropped`
+// record.
+struct DropRig : Rig {
+  unsigned eve;
+
+  DropRig()
+      : Rig{[] {
+          AcceleratorConfig c;
+          c.out_buffer_depth = 0;
+          return c;
+        }()} {
+    eve = acc.addUser(Principal::user("eve", 2));
+    EXPECT_TRUE(loadKey128(acc, eve, 2, 2, testKey(), Conf::category(2)));
+  }
+
+  void dropOneMidStream() {
+    acc.setTickHook([this, step = 0]() mutable {
+      if (step == 0 && acc.pendingOutputs(alice) > 0) {
+        BlockRequest req;  // Alice's stream is flowing: Eve joins it
+        req.req_id = 0xe7e;
+        req.user = eve;
+        req.key_slot = 2;
+        ASSERT_TRUE(acc.submit(req));
+        step = 1;
+      } else if (step == 1 && acc.pendingInputs(eve) == 0) {
+        acc.setReceiverReady(alice, false);
+        step = 2;
+      } else if (step == 2) {
+        acc.setReceiverReady(alice, true);
+        step = 3;
+      }
+    });
+  }
+};
+
+aes::Bytes message32(std::uint8_t seed) {
+  aes::Bytes m(32 * 16);
+  for (std::size_t i = 0; i < m.size(); ++i)
+    m[i] = static_cast<std::uint8_t>(seed + 7 * i);
+  return m;
+}
+
+TEST(DriverRobustness, DropMidBatchReissuesTheWholeBatchOnce) {
+  DropRig r;
+  SessionOptions opts;
+  opts.max_retries = 1;
+  AccelSession s{r.acc, r.alice, 1, opts};
+  r.dropOneMidStream();
+  const auto msg = message32(0x10);
+  const auto ct = s.ecbEncrypt(msg);
+  r.acc.setTickHook(nullptr);
+  EXPECT_EQ(r.acc.stats().dropped, 1u);
+  ASSERT_TRUE(ct.has_value()) << toString(ct.status());
+  EXPECT_EQ(*ct, aes::ecbEncrypt(msg, r.golden));
+  EXPECT_EQ(s.retries(), 1u);
+  EXPECT_EQ(s.telemetry().ok, 1u);
+  EXPECT_EQ(s.telemetry().transientFailures(), 0u);
+  // The abandoned attempt's late responses never reach the next call.
+  const auto msg2 = message32(0x90);
+  const auto ct2 = s.ecbEncrypt(msg2);
+  ASSERT_TRUE(ct2.has_value());
+  EXPECT_EQ(*ct2, aes::ecbEncrypt(msg2, r.golden));
+}
+
+TEST(DriverRobustness, DropMidBatchIsTheVerdictWithoutRetryBudget) {
+  DropRig r;
+  AccelSession s{r.acc, r.alice, 1};  // max_retries = 0
+  r.dropOneMidStream();
+  const auto ct = s.ecbEncrypt(message32(0x10));
+  r.acc.setTickHook(nullptr);
+  EXPECT_EQ(ct.status(), AccelStatus::Dropped);
+  EXPECT_EQ(s.telemetry().drops, 1u);
+  EXPECT_EQ(s.telemetry().operations(), 1u);
+  EXPECT_EQ(s.retries(), 0u);
+}
+
+// Squash the first AES block of a synchronous GCM seal in the last stage.
+AccelResult<GcmSealed> sealWithOneStageFault(Rig& r, AccelSession& s,
+                                             const std::vector<std::uint8_t>& pt,
+                                             const std::vector<std::uint8_t>& aad,
+                                             const std::vector<std::uint8_t>& iv) {
+  bool fired = false;
+  r.acc.setTickHook([&] {
+    const unsigned last = r.acc.pipeline().depth() - 1;
+    if (!fired && r.acc.pipeline().stage(last).valid)
+      fired = r.acc.injectFault(FaultSite::StageData, last, 3);
+  });
+  auto sealed = s.gcmSeal(pt, aad, iv);
+  r.acc.setTickHook(nullptr);
+  EXPECT_TRUE(fired);
+  return sealed;
+}
+
+TEST(DriverRobustness, FaultAbortedGcmSealIsReissuedWhole) {
+  const std::vector<std::uint8_t> pt(64, 0x5e), aad(8, 0xa1), iv(12, 0x07);
+  {
+    Rig r;
+    AccelSession s{r.acc, r.alice, 1};  // max_retries = 0
+    const auto sealed = sealWithOneStageFault(r, s, pt, aad, iv);
+    EXPECT_EQ(sealed.status(), AccelStatus::FaultAborted);
+    EXPECT_EQ(s.telemetry().fault_aborts, 1u);
+  }
+  Rig r;
+  SessionOptions opts;
+  opts.max_retries = 1;
+  AccelSession s{r.acc, r.alice, 1, opts};
+  const auto sealed = sealWithOneStageFault(r, s, pt, aad, iv);
+  ASSERT_TRUE(sealed.has_value()) << toString(sealed.status());
+  const auto want = aes::gcmEncrypt(pt, aad, r.golden, iv);
+  EXPECT_EQ(sealed->ciphertext, want.ciphertext);
+  EXPECT_EQ(sealed->tag, want.tag);
+  EXPECT_EQ(s.retries(), 1u);
+  EXPECT_EQ(s.telemetry().ok, 1u);
   EXPECT_EQ(s.telemetry().transientFailures(), 0u);
 }
 

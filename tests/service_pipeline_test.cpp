@@ -88,8 +88,8 @@ struct Stream {
 // order, never with wrong data, and within the stated bound.
 TEST(ServicePipeline, FaultAbortsAndDropsMidWindowKeepOneVerdictPerTicket) {
   ServiceConfig cfg;
-  cfg.healthy_opts.timeout_cycles = 128;
-  cfg.degraded_opts.timeout_cycles = 128;
+  cfg.healthy_timeout_cycles = 128;
+  cfg.degraded_timeout_cycles = 128;
   constexpr unsigned kTenants = 3, kBlocks = 64, kWindow = 8;
   Rig r{kTenants, cfg};
 
@@ -157,7 +157,7 @@ TEST(ServicePipeline, FaultAbortsAndDropsMidWindowKeepOneVerdictPerTicket) {
   const std::uint64_t cap =
       r.acc.pipeline().depth() + r.acc.config().out_buffer_depth;
   const std::uint64_t bound = kWindow * (cfg.max_requeues + 1) *
-                              (cfg.healthy_opts.timeout_cycles + 2 * cap);
+                              (cfg.healthy_timeout_cycles + 2 * cap);
   unsigned ok = 0;
   for (unsigned t = 0; t < kTenants; ++t) {
     ASSERT_EQ(st[t].verdicts.size(), kBlocks) << "tenant " << t;
@@ -356,7 +356,7 @@ TEST(ServicePipeline, DrainWaitsForCancelledAttemptsAtDeviceInput) {
   ServiceConfig cfg;
   cfg.quota_per_round = 40;
   cfg.max_requeues = 0;
-  cfg.healthy_opts.timeout_cycles = 64;
+  cfg.healthy_timeout_cycles = 64;
   cfg.health.quarantine_residency_cycles = 1ull << 40;
   Rig r{1, cfg, /*queue_depth=*/40};
   for (unsigned i = 0; i < 40; ++i)
@@ -388,7 +388,7 @@ TEST(ServicePipeline, MigrationWaitsOutBlocksInDeviceInputQueue) {
   PoolConfig cfg;
   cfg.shards = 2;
   cfg.service.quota_per_round = 48;
-  cfg.service.healthy_opts.timeout_cycles = 64;
+  cfg.service.healthy_timeout_cycles = 64;
   EnginePool pool{cfg};
   PoolTenantSpec spec;
   spec.name = "mover";
@@ -618,7 +618,7 @@ TEST(ServicePipeline, AeadShedVerdictKeepsOrderBehindInFlightOps) {
 TEST(ServicePipeline, AeadWatchdogExpiryIsTypedTimedOut) {
   ServiceConfig cfg;
   cfg.max_requeues = 0;
-  cfg.healthy_opts.timeout_cycles = 200;
+  cfg.healthy_timeout_cycles = 200;
   Rig r{1, cfg};
   // The environment loses the first GCM response the tenant is sent.
   bool lost = false;
@@ -635,7 +635,7 @@ TEST(ServicePipeline, AeadWatchdogExpiryIsTypedTimedOut) {
   EXPECT_EQ(v[0].served_by, ServedBy::Hardware);
   const std::uint64_t blocks = 160 / 16 + 1;  // data + IV
   EXPECT_LE(v[0].complete_cycle - v[0].submit_cycle,
-            cfg.healthy_opts.timeout_cycles + 2 * blocks + 2);
+            cfg.healthy_timeout_cycles + 2 * blocks + 2);
   EXPECT_EQ(v[1].status, CompletionStatus::Ok);
   EXPECT_EQ(v[2].status, CompletionStatus::Ok);
   EXPECT_EQ(r.svc.session(0).telemetry().timeouts, 1u);

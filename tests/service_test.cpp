@@ -150,8 +150,8 @@ ServiceConfig fastHealthConfig() {
   cfg.health.wedged_windows = 2;
   cfg.health.quarantine_residency_cycles = 400;
   cfg.health.recovery_windows = 1;
-  cfg.healthy_opts = {.timeout_cycles = 100};
-  cfg.degraded_opts = {.timeout_cycles = 60};
+  cfg.healthy_timeout_cycles = 100;
+  cfg.degraded_timeout_cycles = 60;
   cfg.canary_opts = {.timeout_cycles = 200, .max_retries = 1,
                      .backoff_cycles = 4};
   cfg.quota_per_round = 2;
