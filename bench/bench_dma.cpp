@@ -1,9 +1,9 @@
 // DMA data-path study: the descriptor-ring engine against the synchronous
 // MMIO-style DmaEngine and the service's pipelined block path (batch = the
 // wave of blocks offered before draining), batch 1/4/16/64, plus
-// the seeded descriptor-ring fault campaign whose two invariants
-// (wrong_plaintext_releases == 0, cross_label_writes == 0) CI gates via
-// tools/bench_gate.py --assert-zero.
+// the seeded descriptor-ring fault campaign whose invariants
+// (wrong_plaintext_releases, cross_label_writes, partial_writes and
+// unrequested_writes all 0) CI gates via tools/bench_gate.py --assert-zero.
 //
 // Records (stdout lines prefixed `JSON `):
 //   {"bench":"dma_path","path":p,"batch":b,...}  one per path x batch cell.
@@ -276,17 +276,18 @@ void printPathMatrix() {
 
 void printRingCampaign() {
   std::printf(
-      "Hardened descriptor-ring fault campaign, 16 seeds x 21 descriptors\n"
+      "Hardened descriptor-ring fault campaign, 16 seeds x 24 descriptors\n"
       "(scripted scenarios: torn ownership, chain loop, OOB next, completion\n"
-      "overflow, stalled ring, stale generation, TOCTOU dst rewrite; plus\n"
-      "random ring/host faults at rate 0.02)\n");
+      "overflow, stalled ring, stale generation, TOCTOU dst rewrite,\n"
+      "descriptor replay: 3 passes each; plus random ring/host faults at\n"
+      "rate 0.02)\n");
   std::printf("%6s %6s %8s %8s %6s %6s %6s %6s\n", "seed", "ok", "refused",
               "unresl", "wdog", "recov", "wrongP", "xlabel");
   RingCampaignReport total;
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     RingCampaignConfig cfg;
     cfg.seed = seed;
-    cfg.descriptors = 21;
+    cfg.descriptors = 24;
     const auto rep = runRingFaultCampaign(cfg);
     std::printf("%6llu %6llu %8llu %8llu %6llu %6llu %6llu %6llu\n",
                 static_cast<unsigned long long>(seed),
@@ -302,7 +303,8 @@ void printRingCampaign() {
         "\"descriptors\":%u,\"completed_ok\":%llu,\"refused\":%llu,"
         "\"unresolved\":%llu,\"watchdog_fires\":%llu,\"recoveries\":%llu,"
         "\"ring_faults\":%llu,\"wrong_plaintext_releases\":%llu,"
-        "\"cross_label_writes\":%llu,\"partial_writes\":%llu}\n",
+        "\"cross_label_writes\":%llu,\"partial_writes\":%llu,"
+        "\"unrequested_writes\":%llu}\n",
         static_cast<unsigned long long>(seed), rep.descriptors,
         static_cast<unsigned long long>(rep.completed_ok),
         static_cast<unsigned long long>(rep.refused),
@@ -312,7 +314,8 @@ void printRingCampaign() {
         static_cast<unsigned long long>(rep.ring_faults),
         static_cast<unsigned long long>(rep.wrong_plaintext_releases),
         static_cast<unsigned long long>(rep.cross_label_writes),
-        static_cast<unsigned long long>(rep.partial_writes));
+        static_cast<unsigned long long>(rep.partial_writes),
+        static_cast<unsigned long long>(rep.unrequested_writes));
     total += rep;
   }
 
@@ -322,31 +325,33 @@ void printRingCampaign() {
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     RingCampaignConfig cfg;
     cfg.seed = seed;
-    cfg.descriptors = 21;
+    cfg.descriptors = 24;
     cfg.hardened = false;
     un += runRingFaultCampaign(cfg);
   }
   std::printf(
       "\nhardened:   %llu ok / %llu refused, 0 wrong-plaintext, 0 "
-      "cross-label\nunhardened: %llu ok / %llu refused, %llu "
-      "wrong-plaintext, %llu cross-label, %llu partial\n\n",
+      "cross-label, 0 unrequested\nunhardened: %llu ok / %llu refused, %llu "
+      "wrong-plaintext, %llu cross-label, %llu partial, %llu unrequested\n\n",
       static_cast<unsigned long long>(total.completed_ok),
       static_cast<unsigned long long>(total.refused),
       static_cast<unsigned long long>(un.completed_ok),
       static_cast<unsigned long long>(un.refused),
       static_cast<unsigned long long>(un.wrong_plaintext_releases),
       static_cast<unsigned long long>(un.cross_label_writes),
-      static_cast<unsigned long long>(un.partial_writes));
+      static_cast<unsigned long long>(un.partial_writes),
+      static_cast<unsigned long long>(un.unrequested_writes));
   std::printf(
       "JSON {\"bench\":\"dma_ring_campaign_unhardened\",\"seeds\":16,"
       "\"descriptors\":%u,\"completed_ok\":%llu,\"refused\":%llu,"
       "\"wrong_plaintext_releases\":%llu,\"cross_label_writes\":%llu,"
-      "\"partial_writes\":%llu}\n\n",
+      "\"partial_writes\":%llu,\"unrequested_writes\":%llu}\n\n",
       un.descriptors, static_cast<unsigned long long>(un.completed_ok),
       static_cast<unsigned long long>(un.refused),
       static_cast<unsigned long long>(un.wrong_plaintext_releases),
       static_cast<unsigned long long>(un.cross_label_writes),
-      static_cast<unsigned long long>(un.partial_writes));
+      static_cast<unsigned long long>(un.partial_writes),
+      static_cast<unsigned long long>(un.unrequested_writes));
 }
 
 void BM_RingPath(benchmark::State& state) {
@@ -362,7 +367,7 @@ void BM_RingCampaign(benchmark::State& state) {
   for (auto _ : state) {
     RingCampaignConfig cfg;
     cfg.seed = 2019;
-    cfg.descriptors = 21;
+    cfg.descriptors = 24;
     benchmark::DoNotOptimize(runRingFaultCampaign(cfg));
   }
 }

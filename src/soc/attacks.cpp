@@ -671,8 +671,19 @@ RingCampaignReport runRingFaultCampaign(const RingCampaignConfig& cfg) {
   ring.comp_base = 0x0c00;
   ring.comp_slots = 8;  // small on purpose: overflow scenarios must bite
   ring.watchdog_cycles = cfg.watchdog_cycles;
-  const unsigned ch = eng.addChannel(ring);
-  DmaRingDriver drv{eng, mem, ch, ring};
+  const unsigned main_ch = eng.addChannel(ring);
+  DmaRingDriver main_drv{eng, mem, main_ch, ring};
+  // The replay scenario's ring has one descriptor slot, so the engine's next
+  // poll lands on the descriptor it has just handed back.
+  DmaRingConfig replay_ring = ring;
+  replay_ring.desc_base = 0x0d00;
+  replay_ring.desc_slots = 1;
+  replay_ring.chain_base = 0x0d40;
+  replay_ring.chain_slots = 2;
+  replay_ring.comp_base = 0x0dc0;
+  replay_ring.comp_slots = 2;
+  const unsigned replay_ch = eng.addChannel(replay_ring);
+  DmaRingDriver replay_drv{eng, mem, replay_ch, replay_ring};
 
   // Ring and data pages belong to alice; a victim region belongs to eve.
   const lattice::Label alice_l = acc.principal(bench.alice).authority;
@@ -681,6 +692,9 @@ RingCampaignReport runRingFaultCampaign(const RingCampaignConfig& cfg) {
   const std::size_t src_base = 0x2000, dst_base = 0x8000;
   mem.setPageLabel(src_base, 0x4000, alice_l);
   mem.setPageLabel(dst_base, 0x4000, alice_l);
+  // Alice's data pages: no byte outside the destination of the transfer
+  // being judged may change.
+  const std::size_t data_len = dst_base + 0x4000 - src_base;
   const std::size_t victim_base = 0x10000, victim_len = 0x1000;
   mem.setPageLabel(victim_base, victim_len, eve_l);
   for (std::size_t i = 0; i < victim_len; ++i)
@@ -708,7 +722,11 @@ RingCampaignReport runRingFaultCampaign(const RingCampaignConfig& cfg) {
   for (unsigned i = 0; i < cfg.descriptors; ++i) {
     ++rep.descriptors;
     const unsigned scenario =
-        cfg.scripted_scenarios ? i % 7 : 7;  // 7 = plain transfer
+        cfg.scripted_scenarios ? i % 8 : 8;  // 8 = plain transfer
+    const bool replay = scenario == 7;
+    const unsigned ch = replay ? replay_ch : main_ch;
+    DmaRingDriver& drv = replay ? replay_drv : main_drv;
+    const DmaRingConfig& rc = replay ? replay_ring : ring;
 
     // Build one transfer: fresh random payload, ECB or CTR, sometimes
     // scatter-gathered across 2-3 segments.
@@ -734,6 +752,8 @@ RingCampaignReport runRingFaultCampaign(const RingCampaignConfig& cfg) {
       golden = aes::ctrCrypt(payload, ek, nonce);
     }
     const std::vector<std::uint8_t> dst_before = mem.readBytes(dst, len);
+    const std::vector<std::uint8_t> data_before =
+        mem.readBytes(src_base, data_len);
 
     // Split into segments (chains exercise the next-pointer path).
     std::vector<DmaDescriptor> segs;
@@ -766,8 +786,7 @@ RingCampaignReport runRingFaultCampaign(const RingCampaignConfig& cfg) {
 
     // Scripted adversarial interleave.
     const std::size_t head_addr =
-        ring.desc_base +
-        ((eng.headSlot(ch)) % ring.desc_slots) * kDescBytes;
+        rc.desc_base + (eng.headSlot(ch) % rc.desc_slots) * kDescBytes;
     bool stalled_receiver = false;
     std::uint64_t release_at = 0;
     switch (scenario) {
@@ -866,6 +885,29 @@ RingCampaignReport runRingFaultCampaign(const RingCampaignConfig& cfg) {
       for (std::size_t b = 0; b < victim_len; ++b)  // restore + re-arm
         mem.write8(victim_base + b, victim_snap[b]);
     }
+
+    // Unrequested-write oracle: alice's data pages outside this transfer's
+    // destination are as they were.
+    auto data_now = mem.readBytes(src_base, data_len);
+    const auto dst_off = static_cast<std::ptrdiff_t>(dst - src_base);
+    std::copy_n(data_before.begin() + dst_off, len, data_now.begin() + dst_off);
+    if (data_now != data_before) ++rep.unrequested_writes;
+
+    if (replay && comp != nullptr) {
+      // Descriptor replay: the host reuses the source buffer, then one bit
+      // flip sets OWNED again on the finished descriptor the engine polls
+      // next. No transfer is outstanding, so no byte may move.
+      for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
+      mem.writeBytes(src, payload);
+      const auto idle_before = mem.readBytes(src_base, data_len);
+      mem.write32(head_addr, mem.read32(head_addr) ^ kRingOwned);
+      for (std::uint64_t t = 0;
+           t < budget && (mem.read32(head_addr) & kRingOwned); ++t)
+        eng.tick();
+      drv.poll();
+      if (mem.readBytes(src_base, data_len) != idle_before)
+        ++rep.unrequested_writes;
+    }
   }
 
   acc.setTickHook(nullptr);
@@ -875,8 +917,10 @@ RingCampaignReport runRingFaultCampaign(const RingCampaignConfig& cfg) {
   rep.recoveries = rs.recoveries;
   rep.ring_resets = rs.ring_resets;
   rep.cross_label_writes += rs.cross_label_writes;
-  rep.corrupt_completions = drv.corruptCompletions();
-  rep.duplicate_completions = drv.duplicateCompletions();
+  rep.corrupt_completions =
+      main_drv.corruptCompletions() + replay_drv.corruptCompletions();
+  rep.duplicate_completions =
+      main_drv.duplicateCompletions() + replay_drv.duplicateCompletions();
   const auto frep = inj.report();
   rep.ring_faults = frep.host_ring_desc + frep.host_ring_comp;
   return rep;
@@ -890,6 +934,7 @@ std::string RingCampaignReport::toJson() const {
      << ",\"wrong_plaintext_releases\":" << wrong_plaintext_releases
      << ",\"cross_label_writes\":" << cross_label_writes
      << ",\"partial_writes\":" << partial_writes
+     << ",\"unrequested_writes\":" << unrequested_writes
      << ",\"watchdog_fires\":" << watchdog_fires
      << ",\"recoveries\":" << recoveries
      << ",\"ring_resets\":" << ring_resets
@@ -909,6 +954,7 @@ RingCampaignReport& RingCampaignReport::operator+=(
   wrong_plaintext_releases += o.wrong_plaintext_releases;
   cross_label_writes += o.cross_label_writes;
   partial_writes += o.partial_writes;
+  unrequested_writes += o.unrequested_writes;
   watchdog_fires += o.watchdog_fires;
   recoveries += o.recoveries;
   ring_resets += o.ring_resets;

@@ -132,11 +132,14 @@ DmaTheftResult runDmaTheftAttack(accel::SecurityMode mode);
 // the host interface, optionally interleaved with scripted adversarial
 // scenarios (torn ownership, chain loops, OOB next-pointers, a TOCTOU
 // destination rewrite, completion-queue overflow, a stalled ring, stale
-// generations after a ring reset). Two independent oracles judge every
-// transfer: an Ok completion whose destination bytes differ from the
-// software-computed golden is a wrong-plaintext release, and any byte that
-// changes in another tenant's pages is a cross-label write. The hardened
-// engine must end every run with both counters at zero; the unhardened
+// generations after a ring reset, a bit flip that re-arms a finished
+// descriptor). Three independent oracles judge every transfer: an Ok
+// completion whose destination bytes differ from the software-computed
+// golden is a wrong-plaintext release, any byte that changes in another
+// tenant's pages is a cross-label write, and any byte that changes in the
+// tenant's own data pages outside the requested destination (or while no
+// transfer is outstanding) is an unrequested write. The hardened engine
+// must end every run with all three counters at zero; the unhardened
 // engine demonstrably does not.
 struct RingCampaignConfig {
   std::uint64_t seed = 1;
@@ -155,6 +158,7 @@ struct RingCampaignReport {
   std::uint64_t wrong_plaintext_releases = 0;  // Ok but dst != golden
   std::uint64_t cross_label_writes = 0;  // engine stat + victim-page diffs
   std::uint64_t partial_writes = 0;      // refused/unresolved but dst moved
+  std::uint64_t unrequested_writes = 0;  // own data pages moved unasked
   std::uint64_t watchdog_fires = 0;
   std::uint64_t recoveries = 0;
   std::uint64_t ring_resets = 0;

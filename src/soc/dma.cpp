@@ -872,7 +872,11 @@ bool DmaRingEngine::tryWriteCompletion(unsigned idx) {
 }
 
 void DmaRingEngine::handback(Channel& ch, const Chain& c) {
-  // Clear OWNED, preserve the generation — the host-side release cursor.
+  // Clear OWNED, preserve the generation — the host-side release cursor —
+  // and store the checksum inverted: a finished descriptor then fails
+  // validation, so no single bit flip that sets OWNED again can replay it.
+  mem_.write32(c.head_addr + 4,
+               ~ringChecksum(mem_, c.head_addr + 8, kDescBytes - 8));
   mem_.write32(c.head_addr, static_cast<std::uint32_t>(ch.generation) << 16);
   ch.head = (ch.head + 1) % ch.cfg.desc_slots;
 }

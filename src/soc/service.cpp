@@ -681,11 +681,6 @@ void AccelService::runCanaries() {
 
 unsigned AccelService::pump() {
   const std::uint64_t settled_before = settled_;
-  // One idle cycle per round models scheduling overhead and, crucially,
-  // keeps the device clock (and quarantine residency) moving even when all
-  // queues are empty.
-  tickAndCollect();
-
   if (monitor_.state() == HealthState::Quarantined &&
       monitor_.tryBeginProbation(acc_.cycle())) {
     logTransitions();
@@ -721,8 +716,10 @@ unsigned AccelService::pump() {
   }
   if (n) rr_next_ = (rr_next_ + 1) % n;
 
-  // Tick until this round's blocks have entered the pipe. Bounded: a wedged
-  // pipe trips the head watchdogs, which take the blocks back.
+  // Tick at least once, so the clock and quarantine residency move even when
+  // every queue is empty, and until this round's blocks have entered the
+  // pipe. Bounded: a wedged pipe trips the head watchdogs, which take the
+  // blocks back.
   auto waitingAtInput = [&] {
     for (unsigned t = 0; t < n; ++t) {
       if (blocks_[t].inflight > 0 && acc_.pendingInputs(tenants_[t].user) > 0)
@@ -730,7 +727,7 @@ unsigned AccelService::pump() {
     }
     return false;
   };
-  while (waitingAtInput()) tickAndCollect();
+  do tickAndCollect(); while (waitingAtInput());
 
   sampleWindowIfDue();
   return static_cast<unsigned>(settled_ - settled_before);

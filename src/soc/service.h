@@ -260,11 +260,8 @@ class AccelService {
   }
 
   // One scheduling round. The round contract:
-  //  1. one idle tick (scheduling overhead; keeps the clock and quarantine
-  //     residency moving when every queue is empty), then settle whatever
-  //     exited;
-  //  2. canary probes when probation opens;
-  //  3. per tenant, round-robin: up to quota_per_round units — AEAD ops
+  //  1. canary probes when probation opens;
+  //  2. per tenant, round-robin: up to quota_per_round units — AEAD ops
   //     first, then blocks. On the hardware path both are issued into the
   //     live pipe and not waited on to finish: after each AEAD op the
   //     service ticks only until that op's AES blocks have ENTERED the
@@ -273,7 +270,13 @@ class AccelService {
   //     At most kGcmOps ops and pipeline().depth() + out_buffer_depth
   //     blocks are in flight per engine (derived from the device, so there
   //     is no knob). On the fallback path both are served in software;
-  //  4. tick until this round's blocks have ENTERED the pipe.
+  //  3. tick at least once (the clock and quarantine residency move even
+  //     when every queue is empty) and until this round's blocks have
+  //     ENTERED the pipe, settling whatever exits on each tick.
+  // Every cycle a round spends therefore carries its work: the host's
+  // scheduling for the next round falls between clock edges, after this
+  // round's last block has entered the pipe, as a host keeping the
+  // device's input FIFO fed would.
   // Verdicts settle in per-tenant submission order as work exits — in this
   // round or a later one. A head that ends FaultAborted, Dropped, refused
   // at submit, or past its watchdog (the session's timeout_cycles; plus

@@ -1,8 +1,8 @@
 // Descriptor-ring data path: protocol round-trips, validation of the ring
 // as untrusted input, fail-secure recovery, and the seeded ring fault
-// campaign's two invariants (no wrong-plaintext release, no cross-label
-// write) on the hardened engine — with the unhardened engine as the
-// demonstrably-vulnerable control.
+// campaign's invariants (no wrong-plaintext release, no cross-label write,
+// no unrequested write) on the hardened engine — with the unhardened engine
+// as the demonstrably-vulnerable control.
 
 #include "soc/dma.h"
 
@@ -394,16 +394,53 @@ TEST(DmaRing, ToctouDstRewriteBlockedByLatchOnHardenedOnly) {
   }
 }
 
+TEST(DmaRing, FinishedDescriptorReplayRefusedOnHardenedOnly) {
+  // Once the ring wraps, the engine's next poll lands on a descriptor it
+  // has already handed back. One bit flip that sets OWNED again must not
+  // re-run it: the hardened handback inverts the checksum, so the replay is
+  // refused and the old destination keeps its bytes. The unhardened engine
+  // rewrites that destination from whatever the source now holds.
+  for (const bool hardened : {true, false}) {
+    RingBench b{hardened};
+    for (unsigned i = 0; i < b.rc.desc_slots; ++i) {
+      b.mem.writeBytes(0x1000 + i * 64, b.randomBytes(64, 40 + i));
+      const auto* c = b.run({b.desc(DmaMode::EcbEncrypt, 0x1000 + i * 64,
+                                    0x2000 + i * 64, 64)});
+      ASSERT_NE(c, nullptr);
+      ASSERT_EQ(c->status, DmaError::None) << toString(c->status);
+    }
+    ASSERT_EQ(b.eng.headSlot(b.ch), 0u);  // wrapped onto a finished slot
+    b.mem.writeBytes(0x1000, b.randomBytes(64, 99));  // source reused
+    const auto dst_before = b.mem.readBytes(0x2000, 64);
+    b.mem.write32(b.rc.desc_base, b.mem.read32(b.rc.desc_base) ^ kRingOwned);
+    for (unsigned i = 0; i < 512; ++i) b.eng.tick();
+    b.drv->poll();
+    // The replay's completion record matches no open ticket either way.
+    EXPECT_EQ(b.drv->duplicateCompletions(), 1u) << "hardened=" << hardened;
+    if (hardened) {
+      EXPECT_EQ(b.eng.stats().by_error[static_cast<unsigned>(
+                    DmaError::BadChecksum)],
+                1u);
+      EXPECT_EQ(b.eng.stats().completed_ok, b.rc.desc_slots);
+      EXPECT_EQ(b.mem.readBytes(0x2000, 64), dst_before);
+    } else {
+      EXPECT_EQ(b.eng.stats().completed_ok, b.rc.desc_slots + 1);
+      EXPECT_NE(b.mem.readBytes(0x2000, 64), dst_before);
+    }
+  }
+}
+
 TEST(DmaRing, HardenedCampaignInvariantsHoldAcrossSeeds) {
   RingCampaignReport total;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     RingCampaignConfig cfg;
     cfg.seed = seed;
-    cfg.descriptors = 21;  // 3 passes over every scripted scenario
+    cfg.descriptors = 24;  // 3 passes over every scripted scenario
     const auto rep = runRingFaultCampaign(cfg);
     EXPECT_EQ(rep.wrong_plaintext_releases, 0u) << "seed " << seed;
     EXPECT_EQ(rep.cross_label_writes, 0u) << "seed " << seed;
     EXPECT_EQ(rep.partial_writes, 0u) << "seed " << seed;
+    EXPECT_EQ(rep.unrequested_writes, 0u) << "seed " << seed;
     total += rep;
   }
   // The campaign must actually exercise the machinery it certifies.
@@ -423,13 +460,15 @@ TEST(DmaRing, UnhardenedEngineDemonstratesViolations) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     RingCampaignConfig cfg;
     cfg.seed = seed;
-    cfg.descriptors = 21;
+    cfg.descriptors = 24;
     cfg.hardened = false;
     total += runRingFaultCampaign(cfg);
   }
   EXPECT_GT(total.wrong_plaintext_releases + total.cross_label_writes +
                 total.partial_writes,
             0u);
+  // Every scripted replay re-runs a finished descriptor.
+  EXPECT_GT(total.unrequested_writes, 0u);
 }
 
 // The service's pipelined block path matches golden ECB over a 32-block

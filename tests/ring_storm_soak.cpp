@@ -19,7 +19,7 @@ TEST(RingStormSoak, HardenedInvariantsAcrossManySeedsAndRates) {
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
       RingCampaignConfig cfg;
       cfg.seed = seed * 7919 + static_cast<std::uint64_t>(rate * 1000);
-      cfg.descriptors = 42;
+      cfg.descriptors = 48;  // 6 passes over every scripted scenario
       cfg.fault_rate = rate;
       const auto rep = runRingFaultCampaign(cfg);
       EXPECT_EQ(rep.wrong_plaintext_releases, 0u)
@@ -27,6 +27,8 @@ TEST(RingStormSoak, HardenedInvariantsAcrossManySeedsAndRates) {
       EXPECT_EQ(rep.cross_label_writes, 0u)
           << "seed " << cfg.seed << " rate " << rate;
       EXPECT_EQ(rep.partial_writes, 0u)
+          << "seed " << cfg.seed << " rate " << rate;
+      EXPECT_EQ(rep.unrequested_writes, 0u)
           << "seed " << cfg.seed << " rate " << rate;
       total += rep;
     }
@@ -58,6 +60,7 @@ TEST(RingStormSoak, RandomCorruptionOnlyPressure) {
     EXPECT_EQ(rep.wrong_plaintext_releases, 0u) << "seed " << seed;
     EXPECT_EQ(rep.cross_label_writes, 0u) << "seed " << seed;
     EXPECT_EQ(rep.partial_writes, 0u) << "seed " << seed;
+    EXPECT_EQ(rep.unrequested_writes, 0u) << "seed " << seed;
   }
 }
 

@@ -762,5 +762,53 @@ TEST(ServicePipeline, BlocksCompleteWhileALargeSealIsInFlight) {
   EXPECT_GT(inside, 0u);
 }
 
+// The round contract's clock: a round issues first and then ticks, at
+// least once and until its blocks have entered the pipe. An empty round
+// still moves the clock (quarantine residency depends on it) by exactly one
+// cycle.
+TEST(ServicePipeline, EmptyPumpAdvancesTheClockByOneCycle) {
+  Rig r{2, ServiceConfig{}};
+  for (unsigned i = 0; i < 3; ++i) {
+    const std::uint64_t before = r.acc.cycle();
+    EXPECT_EQ(r.svc.pump(), 0u);
+    EXPECT_EQ(r.acc.cycle(), before + 1);
+  }
+}
+
+// With the pipe idle, a round that issues one block from each of k tenants
+// spends exactly k cycles: one block enters the pipe per cycle, and no
+// cycle of the round is idle.
+TEST(ServicePipeline, RoundOfKTenantBlocksCostsKCycles) {
+  constexpr unsigned kTenants = 3;
+  Rig r{kTenants, ServiceConfig{}};
+  for (unsigned t = 0; t < kTenants; ++t)
+    ASSERT_TRUE(r.svc.submit(r.tenants[t], blockOf(t, 0)).admitted);
+  const std::uint64_t before = r.acc.cycle();
+  r.svc.pump();
+  EXPECT_EQ(r.acc.cycle() - before, kTenants);
+}
+
+// One tenant's backlog streams through the service at the session's rate:
+// N blocks queued before the first round all resolve in exactly N + depth
+// cycles (the pipe fill), however many quota_per_round rounds it takes.
+TEST(ServicePipeline, BacklogResolvesInBlocksPlusPipeDepthCycles) {
+  constexpr unsigned kBlocks = 48;
+  Rig r{1, ServiceConfig{}, /*queue_depth=*/kBlocks};
+  for (unsigned i = 0; i < kBlocks; ++i)
+    ASSERT_TRUE(r.svc.submit(r.tenants[0], blockOf(0, i)).admitted);
+  const std::uint64_t before = r.acc.cycle();
+  std::vector<Completion> got;
+  for (unsigned guard = 0; guard < 1000 && got.size() < kBlocks; ++guard) {
+    r.svc.pump();
+    while (auto c = r.svc.fetch(r.tenants[0])) got.push_back(*c);
+  }
+  ASSERT_EQ(got.size(), kBlocks);
+  for (unsigned i = 0; i < kBlocks; ++i) {
+    EXPECT_EQ(got[i].status, CompletionStatus::Ok);
+    EXPECT_EQ(got[i].data, aes::encryptBlock(blockOf(0, i), r.golden[0]));
+  }
+  EXPECT_EQ(r.acc.cycle() - before, kBlocks + r.acc.pipeline().depth());
+}
+
 }  // namespace
 }  // namespace aesifc::soc
