@@ -579,7 +579,33 @@ DmaTheftResult runDmaTheftAttack(SecurityMode mode) {
   DmaTheftResult r;
 
   HostMemory mem{64 * 1024};
-  DmaEngine dma{acc, mem};
+  DmaRingEngine eng{acc, mem};
+
+  // Each user programs the engine through a ring on a page of their own
+  // label (two descriptor slots, then two completion slots): a descriptor
+  // on a ring page its claimed user could not have written is refused
+  // RingPageDenied before any data-page check runs.
+  auto ringOf = [&](unsigned user, std::size_t base) {
+    DmaRingConfig rc;
+    rc.desc_base = base;
+    rc.desc_slots = 2;
+    rc.comp_base = base + 2 * kDescBytes;
+    rc.comp_slots = 2;
+    mem.setPageLabel(base, kPageBytes, acc.principal(user).authority);
+    return rc;
+  };
+  const DmaRingConfig alice_rc = ringOf(bench.alice, 0x0000);
+  const DmaRingConfig eve_rc = ringOf(bench.eve, 0x9000);
+  DmaRingDriver alice_ring{eng, mem, eng.addChannel(alice_rc), alice_rc};
+  DmaRingDriver eve_ring{eng, mem, eng.addChannel(eve_rc), eve_rc};
+  // Submit, then tick the device until the future resolves.
+  auto run = [](DmaRingDriver& ring, const DmaDescriptor& d) {
+    const auto seq = ring.submit(d);
+    return seq ? ring.wait(*seq, 4096) : nullptr;
+  };
+  auto is = [](const DmaCompletion* c, DmaError e) {
+    return c != nullptr && c->status == e;
+  };
 
   // The OS allocates per-user buffers (page-aligned, page-labeled).
   const std::size_t alice_buf = 0x1000, alice_dst = 0x2000;
@@ -595,7 +621,7 @@ DmaTheftResult runDmaTheftAttack(SecurityMode mode) {
     secret[i] = static_cast<std::uint8_t>(0xA0 + i * 13);
   mem.writeBytes(alice_buf, secret);
 
-  // Legitimate use: Alice encrypts her own buffer in place.
+  // Legitimate use: Alice encrypts her own buffer into her own pages.
   DmaDescriptor legit;
   legit.user = bench.alice;
   legit.key_slot = 1;
@@ -603,12 +629,13 @@ DmaTheftResult runDmaTheftAttack(SecurityMode mode) {
   legit.src = alice_buf;
   legit.dst = alice_dst;
   legit.len = len;
-  const auto lr = dma.run(legit);
-  if (lr.ok) {
+  const std::uint64_t start = acc.cycle();
+  if (is(run(alice_ring, legit), DmaError::None)) {
     const auto ek = aes::expandKey(bench.alice_key, aes::KeySize::Aes128);
     r.legit_dma_ok = mem.readBytes(alice_dst, len) ==
                      aes::ecbEncrypt(secret, ek);
-    r.cycles_per_block = static_cast<double>(lr.cycles) / lr.blocks;
+    r.cycles_per_block = static_cast<double>(acc.cycle() - start) /
+                         static_cast<double>(len / 16);
   }
 
   // The attack: Eve encrypts Alice's buffer under Eve's key into Eve's
@@ -620,9 +647,9 @@ DmaTheftResult runDmaTheftAttack(SecurityMode mode) {
   theft.src = alice_buf;
   theft.dst = eve_dst;
   theft.len = len;
-  const auto tr = dma.run(theft);
-  r.src_read_blocked = !tr.ok && tr.error == DmaError::SrcPageDenied;
-  if (tr.ok) {
+  const DmaCompletion* tr = run(eve_ring, theft);
+  r.src_read_blocked = is(tr, DmaError::SrcPageDenied);
+  if (is(tr, DmaError::None)) {
     const auto ek = aes::expandKey(bench.eve_key, aes::KeySize::Aes128);
     r.alice_plaintext_stolen =
         aes::ecbDecrypt(mem.readBytes(eve_dst, len), ek) == secret;
@@ -632,8 +659,7 @@ DmaTheftResult runDmaTheftAttack(SecurityMode mode) {
   DmaDescriptor scribble = theft;
   scribble.src = eve_dst;
   scribble.dst = alice_dst;
-  const auto sr = dma.run(scribble);
-  r.dst_write_blocked = !sr.ok && sr.error == DmaError::DstPageDenied;
+  r.dst_write_blocked = is(run(eve_ring, scribble), DmaError::DstPageDenied);
 
   return r;
 }

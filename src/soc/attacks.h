@@ -120,7 +120,7 @@ struct DmaTheftResult {
   bool src_read_blocked = false;        // protected engine refused the read
   bool dst_write_blocked = false;       // ...and writes into Alice's pages
   bool legit_dma_ok = false;            // Alice's own DMA still works
-  double cycles_per_block = 0.0;        // throughput of the legitimate DMA
+  double cycles_per_block = 0.0;        // legitimate DMA, submit to verdict
 };
 
 DmaTheftResult runDmaTheftAttack(accel::SecurityMode mode);

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "accel/driver.h"
 #include "accel/key_store.h"
 
 namespace aesifc::soc {
@@ -98,13 +97,12 @@ std::string toString(DmaError e) {
     case DmaError::OutputSuppressed: return "output-suppressed";
     case DmaError::FaultAborted: return "fault-aborted";
     case DmaError::Rejected: return "rejected";
-    case DmaError::Timeout: return "timeout";
   }
   return "?";
 }
 
 // ---------------------------------------------------------------------------
-// Shared validation helpers
+// Validation helpers
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -157,70 +155,7 @@ bool dstPagesOk(const accel::AesAccelerator& acc, const HostMemory& mem,
   return true;
 }
 
-// The synchronous engine's session: one retry of a transient failure, with
-// a watchdog short enough that both attempts plus the backoff,
-// 2 * (2016 + n + 1) + 32 = 4066 + 2n cycles for n blocks, stay within the
-// 4097 + 2n that the engine's former single watchdog allowed.
-constexpr accel::SessionOptions kSyncSession{
-    .timeout_cycles = 2016, .max_retries = 1, .backoff_cycles = 32};
-
-DmaError toDmaError(accel::AccelStatus s) {
-  switch (s) {
-    case accel::AccelStatus::Ok: return DmaError::None;
-    case accel::AccelStatus::Suppressed: return DmaError::OutputSuppressed;
-    case accel::AccelStatus::Rejected: return DmaError::Rejected;
-    case accel::AccelStatus::Timeout: return DmaError::Timeout;
-    default: return DmaError::FaultAborted;  // FaultAborted, Dropped
-  }
-}
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Synchronous engine (legacy baseline)
-// ---------------------------------------------------------------------------
-
-DmaResult DmaEngine::run(const DmaDescriptor& d) {
-  DmaResult r;
-  auto refuse = [&](DmaError e) {
-    r.error = e;
-    return r;
-  };
-  if (d.user >= acc_.userCount() || d.key_slot >= accel::kRoundKeySlots) {
-    return refuse(DmaError::BadDescriptor);
-  }
-  if (!rangeOk(mem_, d.src, d.len) || !rangeOk(mem_, d.dst, d.len)) {
-    return refuse(DmaError::BadRange);
-  }
-  if (d.mode != DmaMode::CtrCrypt && d.len % 16 != 0) {
-    return refuse(DmaError::UnalignedLength);
-  }
-  if (partialOverlap(d.src, d.dst, d.len)) {
-    return refuse(DmaError::OverlapDenied);
-  }
-  if (!srcPagesOk(acc_, mem_, d.user, d.src, d.len)) {
-    return refuse(DmaError::SrcPageDenied);
-  }
-  if (!dstPagesOk(acc_, mem_, d.user, d.dst, d.len)) {
-    return refuse(DmaError::DstPageDenied);
-  }
-
-  // Latch every input byte before any output byte is written, then stream
-  // the blocks through one driver session; the writeback is buffered, so a
-  // failed transfer writes nothing.
-  const aes::Bytes in = mem_.readBytes(d.src, d.len);
-  accel::AccelSession session{acc_, d.user, d.key_slot, kSyncSession};
-  const auto out = d.mode == DmaMode::CtrCrypt ? session.ctrCrypt(in, d.ctr_iv)
-                   : d.mode == DmaMode::EcbDecrypt ? session.ecbDecrypt(in)
-                                                   : session.ecbEncrypt(in);
-  r.cycles = session.cyclesUsed();
-  r.error = toDmaError(out.status());
-  if (!out) return r;
-  mem_.writeBytes(d.dst, *out);
-  r.ok = true;
-  r.blocks = (d.len + 15) / 16;
-  return r;
-}
 
 // ---------------------------------------------------------------------------
 // Ring codec

@@ -1,22 +1,14 @@
 #pragma once
-// DMA path of the SoC (the tagged "DMA" block of Fig. 2).
-//
-// Two engines share the page-label enforcement model:
-//
-//  * DmaEngine — the legacy synchronous path: software hands the engine one
-//    in-register descriptor and blocks while the engine streams it through
-//    the accelerator on a driver session. Kept as the baseline the
-//    descriptor-ring path is benchmarked against (bench_dma).
-//
-//  * DmaRingEngine — the scatter-gather descriptor-ring data path (modeled
-//    on the cesa TDescr/Tdmaowned and s805 descriptor-table exemplars).
-//    Descriptors and completion records live in label-tagged HostMemory;
-//    ownership bits hand descriptors to the device, chained next-pointers
-//    build multi-segment transfers, and completion events (a modeled
-//    interrupt) wake host-side futures in DmaRingDriver so software
-//    overlaps with device ticks. A fetch unit latches the next channel's
-//    chain while an issue unit streams the current one into the pipe, so
-//    back-to-back chains keep the pipe full (cesa's Tfetchnextdescr).
+// DMA path of the SoC (the tagged "DMA" block of Fig. 2): the
+// scatter-gather descriptor-ring engine (modeled on the cesa
+// TDescr/Tdmaowned and s805 descriptor-table exemplars). Descriptors and
+// completion records live in label-tagged HostMemory; ownership bits hand
+// descriptors to the device, chained next-pointers build multi-segment
+// transfers, and completion events (a modeled interrupt) wake host-side
+// futures in DmaRingDriver so software overlaps with device ticks. A fetch
+// unit latches the next channel's chain while an issue unit streams the
+// current one into the pipe, so back-to-back chains keep the pipe full
+// (cesa's Tfetchnextdescr).
 //
 // The ring is UNTRUSTED INPUT: it lives in host memory a buggy or hostile
 // host can rewrite at any time, and the fault campaigns flip bits in it
@@ -81,7 +73,7 @@ class HostMemory {
   const lattice::Label& pageLabel(std::size_t addr) const;
 
   // Raw accessors (the backdoor used by testbenches and the unprotected
-  // engine; checked accesses live in the DMA engines).
+  // engine; checked accesses live in the DMA engine).
   std::uint8_t read8(std::size_t addr) const { return mem_.at(addr); }
   void write8(std::size_t addr, std::uint8_t v) { mem_.at(addr) = v; }
   void writeBytes(std::size_t addr, const std::vector<std::uint8_t>& data);
@@ -124,10 +116,9 @@ enum class DmaError : std::uint8_t {
   OutputSuppressed,   // the accelerator refused to declassify an output
   FaultAborted,       // fail-secure fault squash survived the retry budget
   Rejected,           // the submit port refused (e.g. zeroized key slot)
-  Timeout,            // synchronous engine watchdog expired
 };
 
-inline constexpr unsigned kDmaErrors = 20;
+inline constexpr unsigned kDmaErrors = 19;
 
 std::string toString(DmaError e);
 
@@ -139,33 +130,6 @@ struct DmaDescriptor {
   std::size_t dst = 0;
   std::size_t len = 0;          // bytes; multiple of 16 for ECB
   aes::Block ctr_iv{};          // initial counter block for CTR
-};
-
-struct DmaResult {
-  bool ok = false;
-  DmaError error = DmaError::None;
-  std::uint64_t cycles = 0;     // device cycles consumed
-  std::uint64_t blocks = 0;
-};
-
-// Synchronous MMIO-style engine: executes one descriptor to completion
-// while the caller blocks. The baseline the ring path amortizes against.
-// run() validates the descriptor, reads every input byte, streams the
-// blocks through one accel::AccelSession (ecbEncrypt / ecbDecrypt /
-// ctrCrypt, the CTR counter in the low 64 bits, big-endian) and writes the
-// destination only on success. A transient failure is retried once; every
-// descriptor gets its verdict within 4066 + 2n device cycles for n blocks
-// (a refused submit, e.g. an unloaded key slot, at once as Rejected).
-class DmaEngine {
- public:
-  DmaEngine(accel::AesAccelerator& acc, HostMemory& mem)
-      : acc_{acc}, mem_{mem} {}
-
-  DmaResult run(const DmaDescriptor& d);
-
- private:
-  accel::AesAccelerator& acc_;
-  HostMemory& mem_;
 };
 
 // ---------------------------------------------------------------------------

@@ -40,9 +40,10 @@ struct RingBench {
   unsigned ch = 0;
   std::unique_ptr<DmaRingDriver> drv;
 
-  explicit RingBench(bool hardened = true, unsigned comp_slots = 8,
+  explicit RingBench(SecurityMode mode = SecurityMode::Protected,
+                     bool hardened = true, unsigned comp_slots = 8,
                      unsigned max_chain = 64)
-      : acc{AcceleratorConfig{SecurityMode::Protected, 10, 64, false}},
+      : acc{AcceleratorConfig{mode, 10, 64, false}},
         eng{acc, mem, hardened} {
     alice = acc.addUser(Principal::user("alice", 1));
     eve = acc.addUser(Principal::user("eve", 2));
@@ -99,47 +100,54 @@ struct RingBench {
   }
 };
 
-TEST(DmaRing, EcbChainMatchesSoftware) {
-  RingBench b;
-  const auto msg = b.randomBytes(3 * 160, 7);
-  b.mem.writeBytes(0x1000, msg);
-  // Three scatter segments into one contiguous destination.
-  std::vector<DmaDescriptor> segs{
-      b.desc(DmaMode::EcbEncrypt, 0x1000, 0x2000, 160),
-      b.desc(DmaMode::EcbEncrypt, 0x10a0, 0x20a0, 160),
-      b.desc(DmaMode::EcbEncrypt, 0x1140, 0x2140, 160)};
-  const auto* c = b.run(segs);
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->status, DmaError::None) << toString(c->status);
-  EXPECT_EQ(c->blocks, 30u);
-  EXPECT_EQ(b.mem.readBytes(0x2000, msg.size()),
-            aes::ecbEncrypt(msg, b.key()));
-  EXPECT_EQ(b.eng.stats().segments_fetched, 2u);  // two continuations
+constexpr SecurityMode kBothModes[] = {SecurityMode::Baseline,
+                                       SecurityMode::Protected};
 
-  // And decrypt it back in place through the same ring.
-  const auto* d =
-      b.run({b.desc(DmaMode::EcbDecrypt, 0x2000, 0x2000, msg.size())});
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->status, DmaError::None) << toString(d->status);
-  EXPECT_EQ(b.mem.readBytes(0x2000, msg.size()), msg);
+TEST(DmaRing, EcbChainMatchesSoftware) {
+  for (const SecurityMode mode : kBothModes) {
+    RingBench b{mode};
+    const auto msg = b.randomBytes(3 * 160, 7);
+    b.mem.writeBytes(0x1000, msg);
+    // Three scatter segments into one contiguous destination.
+    std::vector<DmaDescriptor> segs{
+        b.desc(DmaMode::EcbEncrypt, 0x1000, 0x2000, 160),
+        b.desc(DmaMode::EcbEncrypt, 0x10a0, 0x20a0, 160),
+        b.desc(DmaMode::EcbEncrypt, 0x1140, 0x2140, 160)};
+    const auto* c = b.run(segs);
+    ASSERT_NE(c, nullptr);
+    EXPECT_EQ(c->status, DmaError::None) << toString(c->status);
+    EXPECT_EQ(c->blocks, 30u);
+    EXPECT_EQ(b.mem.readBytes(0x2000, msg.size()),
+              aes::ecbEncrypt(msg, b.key()));
+    EXPECT_EQ(b.eng.stats().segments_fetched, 2u);  // two continuations
+
+    // And decrypt it back in place through the same ring.
+    const auto* d =
+        b.run({b.desc(DmaMode::EcbDecrypt, 0x2000, 0x2000, msg.size())});
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(d->status, DmaError::None) << toString(d->status);
+    EXPECT_EQ(b.mem.readBytes(0x2000, msg.size()), msg);
+  }
 }
 
 TEST(DmaRing, CtrChainContinuesCounterAcrossSegments) {
-  RingBench b;
-  const auto msg = b.randomBytes(400, 9);  // not block-aligned: CTR tail
-  b.mem.writeBytes(0x1000, msg);
-  aes::Iv nonce{};
-  for (std::size_t i = 0; i < nonce.size(); ++i)
-    nonce[i] = static_cast<std::uint8_t>(0xC0 + i);
-  std::vector<DmaDescriptor> segs{
-      b.desc(DmaMode::CtrCrypt, 0x1000, 0x2000, 256),
-      b.desc(DmaMode::CtrCrypt, 0x1100, 0x2100, 144)};
-  std::copy(nonce.begin(), nonce.end(), segs[0].ctr_iv.begin());
-  const auto* c = b.run(segs);
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->status, DmaError::None) << toString(c->status);
-  EXPECT_EQ(b.mem.readBytes(0x2000, msg.size()),
-            aes::ctrCrypt(msg, b.key(), nonce));
+  for (const SecurityMode mode : kBothModes) {
+    RingBench b{mode};
+    const auto msg = b.randomBytes(400, 9);  // not block-aligned: CTR tail
+    b.mem.writeBytes(0x1000, msg);
+    aes::Iv nonce{};
+    for (std::size_t i = 0; i < nonce.size(); ++i)
+      nonce[i] = static_cast<std::uint8_t>(0xC0 + i);
+    std::vector<DmaDescriptor> segs{
+        b.desc(DmaMode::CtrCrypt, 0x1000, 0x2000, 256),
+        b.desc(DmaMode::CtrCrypt, 0x1100, 0x2100, 144)};
+    std::copy(nonce.begin(), nonce.end(), segs[0].ctr_iv.begin());
+    const auto* c = b.run(segs);
+    ASSERT_NE(c, nullptr);
+    EXPECT_EQ(c->status, DmaError::None) << toString(c->status);
+    EXPECT_EQ(b.mem.readBytes(0x2000, msg.size()),
+              aes::ctrCrypt(msg, b.key(), nonce));
+  }
 }
 
 TEST(DmaRing, LabelRefusalsAreTypedAndWriteNothing) {
@@ -209,36 +217,43 @@ TEST(DmaRing, StructurallyInvalidDescriptorsRefused) {
       {10, 999, DmaError::BadDescriptor},         // user out of range
       {12, accel::kRoundKeySlots, DmaError::BadDescriptor},
       {16, 1u << 20, DmaError::BadRange},         // src outside memory
+      {16, SIZE_MAX - 32, DmaError::BadRange},    // src + len wraps
+      {32, 0, DmaError::BadRange},                // zero length
+      {24, 0x1020, DmaError::OverlapDenied},      // dst overlaps src
       {32, 24, DmaError::UnalignedLength},        // ECB len % 16 != 0
       {40, 0x900, DmaError::OobNextPointer},      // next outside arena
   };
-  for (const auto& tc : cases) {
-    RingBench b;
-    b.mem.writeBytes(0x1000, b.randomBytes(64, 8));
-    const auto d = b.desc(DmaMode::EcbEncrypt, 0x1000, 0x2000, 64);
-    writeRingDescriptor(b.mem, b.rc.desc_base, d, 0, 5,
-                        b.eng.generation(b.ch), true);
-    // Overwrite one field, then re-seal the checksum: structure, not the
-    // checksum, must catch these.
-    if (tc.offset == 10 || tc.offset == 12) {
-      b.mem.write32(b.rc.desc_base + 8,
-                    b.mem.read32(b.rc.desc_base + 8) & 0xffffu);
-      b.mem.write8(b.rc.desc_base + tc.offset,
-                   static_cast<std::uint8_t>(tc.value));
-      b.mem.write8(b.rc.desc_base + tc.offset + 1,
-                   static_cast<std::uint8_t>(tc.value >> 8));
-    } else if (tc.offset == 8) {
-      b.mem.write8(b.rc.desc_base + 8, static_cast<std::uint8_t>(tc.value));
-    } else {
-      b.mem.write64(b.rc.desc_base + tc.offset, tc.value);
+  for (const SecurityMode mode : kBothModes) {
+    for (const auto& tc : cases) {
+      RingBench b{mode};
+      b.mem.writeBytes(0x1000, b.randomBytes(64, 8));
+      const auto data_before = b.mem.readBytes(0x1000, 0x4000);
+      const auto d = b.desc(DmaMode::EcbEncrypt, 0x1000, 0x2000, 64);
+      writeRingDescriptor(b.mem, b.rc.desc_base, d, 0, 5,
+                          b.eng.generation(b.ch), true);
+      // Overwrite one field, then re-seal the checksum: structure, not the
+      // checksum, must catch these.
+      if (tc.offset == 10 || tc.offset == 12) {
+        b.mem.write32(b.rc.desc_base + 8,
+                      b.mem.read32(b.rc.desc_base + 8) & 0xffffu);
+        b.mem.write8(b.rc.desc_base + tc.offset,
+                     static_cast<std::uint8_t>(tc.value));
+        b.mem.write8(b.rc.desc_base + tc.offset + 1,
+                     static_cast<std::uint8_t>(tc.value >> 8));
+      } else if (tc.offset == 8) {
+        b.mem.write8(b.rc.desc_base + 8, static_cast<std::uint8_t>(tc.value));
+      } else {
+        b.mem.write64(b.rc.desc_base + tc.offset, tc.value);
+      }
+      b.mem.write32(b.rc.desc_base + 4,
+                    ringChecksum(b.mem, b.rc.desc_base + 8, kDescBytes - 8));
+      b.eng.doorbell(b.ch);
+      for (unsigned i = 0; i < 64; ++i) b.eng.tick();
+      EXPECT_EQ(b.eng.stats().by_error[static_cast<unsigned>(tc.want)], 1u)
+          << "field offset " << tc.offset << " expected " << toString(tc.want);
+      EXPECT_EQ(b.eng.stats().completed_ok, 0u);
+      EXPECT_EQ(b.mem.readBytes(0x1000, 0x4000), data_before);
     }
-    b.mem.write32(b.rc.desc_base + 4,
-                  ringChecksum(b.mem, b.rc.desc_base + 8, kDescBytes - 8));
-    b.eng.doorbell(b.ch);
-    for (unsigned i = 0; i < 64; ++i) b.eng.tick();
-    EXPECT_EQ(b.eng.stats().by_error[static_cast<unsigned>(tc.want)], 1u)
-        << "field offset " << tc.offset << " expected " << toString(tc.want);
-    EXPECT_EQ(b.eng.stats().completed_ok, 0u);
   }
 }
 
@@ -262,7 +277,8 @@ TEST(DmaRing, ChainLoopAndChainTooLongRefused) {
     EXPECT_EQ(c->status, DmaError::ChainLoop) << toString(c->status);
   }
   {
-    RingBench b{/*hardened=*/true, /*comp_slots=*/8, /*max_chain=*/2};
+    RingBench b{SecurityMode::Protected, /*hardened=*/true, /*comp_slots=*/8,
+                /*max_chain=*/2};
     b.mem.writeBytes(0x1000, b.randomBytes(192, 11));
     std::vector<DmaDescriptor> segs{
         b.desc(DmaMode::EcbEncrypt, 0x1000, 0x2000, 64),
@@ -307,7 +323,8 @@ TEST(DmaRing, StaleGenerationRefusedAfterRingReset) {
 }
 
 TEST(DmaRing, CompletionOverflowParksHardenedEngine) {
-  RingBench b{/*hardened=*/true, /*comp_slots=*/2};
+  RingBench b{SecurityMode::Protected, /*hardened=*/true,
+              /*comp_slots=*/2};
   b.drv->setAutoPoll(false);  // host stops consuming completions
   b.mem.writeBytes(0x1000, b.randomBytes(4 * 64, 14));
   std::vector<std::uint16_t> seqs;
@@ -364,13 +381,152 @@ TEST(DmaRing, WatchdogRecoversStalledRingExactlyOnce) {
   EXPECT_EQ(b.mem.readBytes(0x2000, 128), aes::ecbEncrypt(in, b.key()));
 }
 
+// --- Fail-live: the ring's own verdicts arrive within a stated bound ---------
+
+TEST(DmaRing, UnloadedKeySlotResolvesRejected) {
+  RingBench b;
+  b.mem.writeBytes(0x1000, b.randomBytes(64, 17));
+  const auto dst_before = b.mem.readBytes(0x2000, 64);
+  auto d = b.desc(DmaMode::EcbEncrypt, 0x1000, 0x2000, 64);
+  d.key_slot = 2;  // never loaded
+  const std::uint64_t start = b.acc.cycle();
+  const auto* c = b.run({d});
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->status, DmaError::Rejected) << toString(c->status);
+  // Doorbell and fetch, then the 33 refused submits after which the engine
+  // stops asking: no watchdog period is spent on a port that says no.
+  EXPECT_LE(b.acc.cycle() - start, 1 + b.rc.fetch_cycles + 33u);
+  EXPECT_EQ(b.mem.readBytes(0x2000, 64), dst_before);
+}
+
+TEST(DmaRing, ReceiverNeverReadyResolvesRingStalledWithinWatchdogBound) {
+  RingBench b;
+  b.mem.writeBytes(0x1000, b.randomBytes(64, 18));
+  const auto dst_before = b.mem.readBytes(0x2000, 64);
+  b.acc.setReceiverReady(b.alice, false);  // output port wedged for good
+  const std::uint64_t start = b.acc.cycle();
+  const auto* c = b.run({b.desc(DmaMode::EcbEncrypt, 0x1000, 0x2000, 64)});
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->status, DmaError::RingStalled) << toString(c->status);
+  // The first attempt and every resubmit each get one watchdog period.
+  const std::uint64_t bound = (b.rc.max_resubmits + 1) *
+                                  (b.rc.watchdog_cycles + 1) +
+                              1 + b.rc.fetch_cycles;
+  EXPECT_LE(b.acc.cycle() - start, bound);
+  EXPECT_EQ(b.eng.stats().watchdog_fires, b.rc.max_resubmits + 1u);
+  EXPECT_EQ(b.mem.readBytes(0x2000, 64), dst_before);
+}
+
+// --- Per-descriptor cases in both security modes -----------------------------
+
+struct DmaFixture : ::testing::TestWithParam<SecurityMode> {
+  RingBench b{GetParam()};
+};
+
+TEST_P(DmaFixture, EcbDescriptorMatchesSoftware) {
+  const auto msg = b.randomBytes(512, 11);
+  b.mem.writeBytes(0x1000, msg);
+  const auto* c = b.run({b.desc(DmaMode::EcbEncrypt, 0x1000, 0x2000, 512)});
+  ASSERT_NE(c, nullptr);
+  ASSERT_EQ(c->status, DmaError::None) << toString(c->status);
+  EXPECT_EQ(c->blocks, 32u);
+  EXPECT_EQ(b.mem.readBytes(0x2000, 512), aes::ecbEncrypt(msg, b.key()));
+
+  // Decrypt it back in place.
+  const auto* d = b.run({b.desc(DmaMode::EcbDecrypt, 0x2000, 0x2000, 512)});
+  ASSERT_NE(d, nullptr);
+  ASSERT_EQ(d->status, DmaError::None) << toString(d->status);
+  EXPECT_EQ(b.mem.readBytes(0x2000, 512), msg);
+}
+
+TEST_P(DmaFixture, CtrDescriptorIsInvolutive) {
+  const auto msg = b.randomBytes(200, 12);  // not block aligned: fine for CTR
+  b.mem.writeBytes(0x1100, msg);
+  auto d = b.desc(DmaMode::CtrCrypt, 0x1100, 0x1400, 200);
+  aes::Iv nonce{};
+  for (std::size_t i = 0; i < nonce.size(); ++i)
+    nonce[i] = d.ctr_iv[i] = static_cast<std::uint8_t>(0x5a + 3 * i);
+  const auto* c = b.run({d});
+  ASSERT_NE(c, nullptr);
+  ASSERT_EQ(c->status, DmaError::None) << toString(c->status);
+  EXPECT_EQ(b.mem.readBytes(0x1400, 200), aes::ctrCrypt(msg, b.key(), nonce));
+
+  d.src = 0x1400;
+  d.dst = 0x1600;
+  const auto* inv = b.run({d});
+  ASSERT_NE(inv, nullptr);
+  ASSERT_EQ(inv->status, DmaError::None) << toString(inv->status);
+  EXPECT_EQ(b.mem.readBytes(0x1600, 200), msg);
+}
+
+// An out-of-range user or key slot is refused before the engine latches the
+// sequence number, so its completion reaches no future; those two fields are
+// rows of StructurallyInvalidDescriptorsRefused instead.
+TEST_P(DmaFixture, RejectsBadDescriptors) {
+  auto verdict = [&](std::size_t src, std::size_t len) {
+    const auto* c = b.run({b.desc(DmaMode::EcbEncrypt, src, 0x2000, len)});
+    return c != nullptr ? c->status : DmaError::None;
+  };
+  EXPECT_EQ(verdict(0x1000, 0), DmaError::BadRange);
+  EXPECT_EQ(verdict(0x1000, b.mem.size()), DmaError::BadRange);
+  EXPECT_EQ(verdict(0x1000, 24), DmaError::UnalignedLength);
+}
+
+TEST_P(DmaFixture, RefusalsNeverPartiallyWrite) {
+  b.mem.writeBytes(0x1100, b.randomBytes(128, 21));
+  const auto snapshot = b.mem.readBytes(0x1000, 0x4000);
+  auto verdict = [&](std::size_t src, std::size_t dst, std::size_t len) {
+    const auto* c = b.run({b.desc(DmaMode::EcbEncrypt, src, dst, len)});
+    EXPECT_EQ(b.mem.readBytes(0x1000, 0x4000), snapshot);
+    return c != nullptr ? c->status : DmaError::None;
+  };
+  // Overlaps [0x1100, 0x1180) but is not exactly in place.
+  EXPECT_EQ(verdict(0x1100, 0x1140, 128), DmaError::OverlapDenied);
+  EXPECT_EQ(verdict(0x1100, 0x1300, 120), DmaError::UnalignedLength);
+  EXPECT_EQ(verdict(0x1100, b.mem.size() - 64, 128), DmaError::BadRange);
+  EXPECT_EQ(verdict(SIZE_MAX - 32, 0x1300, 128), DmaError::BadRange);
+
+  // Exact in-place (src == dst) stays allowed: buffered writeback makes it
+  // well-defined.
+  const auto* c = b.run({b.desc(DmaMode::EcbEncrypt, 0x1100, 0x1100, 128)});
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->status, DmaError::None) << toString(c->status);
+}
+
+TEST_P(DmaFixture, CtrOverlapRefusedPartialAllowedExact) {
+  b.mem.writeBytes(0x1000, b.randomBytes(100, 22));
+  // CTR tolerates an unaligned length, not a partial overlap.
+  const auto* c = b.run({b.desc(DmaMode::CtrCrypt, 0x1000, 0x1010, 100)});
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->status, DmaError::OverlapDenied) << toString(c->status);
+  const auto* d = b.run({b.desc(DmaMode::CtrCrypt, 0x1000, 0x1000, 100)});
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->status, DmaError::None) << toString(d->status);
+}
+
+TEST_P(DmaFixture, StreamsAtPipelineRate) {
+  // 128 blocks through one descriptor: one block per cycle plus the fetch,
+  // the pipe fill and the completion write, well under 2 cycles per block.
+  b.mem.writeBytes(0x1000, b.randomBytes(128 * 16, 13));
+  const std::uint64_t start = b.acc.cycle();
+  const auto* c =
+      b.run({b.desc(DmaMode::EcbEncrypt, 0x1000, 0x2000, 128 * 16)});
+  ASSERT_NE(c, nullptr);
+  ASSERT_EQ(c->status, DmaError::None) << toString(c->status);
+  ASSERT_EQ(c->blocks, 128u);
+  EXPECT_LT(static_cast<double>(b.acc.cycle() - start) / c->blocks, 2.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothModes, DmaFixture,
+                         ::testing::ValuesIn(kBothModes));
+
 TEST(DmaRing, ToctouDstRewriteBlockedByLatchOnHardenedOnly) {
   // Mid-flight the "host" rewrites the published descriptor's dst to point
   // into eve's pages (checksum re-sealed). The hardened engine executed
   // from its latched shadow copy and never re-reads the ring; the
   // unhardened engine re-reads dst at writeback and leaks.
   for (const bool hardened : {true, false}) {
-    RingBench b{hardened};
+    RingBench b{SecurityMode::Protected, hardened};
     const auto eve_before = b.mem.readBytes(0x4000, 0x1000);
     b.mem.writeBytes(0x1000, b.randomBytes(256, 16));
     const auto seq = b.drv->submitChain(
@@ -401,7 +557,7 @@ TEST(DmaRing, FinishedDescriptorReplayRefusedOnHardenedOnly) {
   // refused and the old destination keeps its bytes. The unhardened engine
   // rewrites that destination from whatever the source now holds.
   for (const bool hardened : {true, false}) {
-    RingBench b{hardened};
+    RingBench b{SecurityMode::Protected, hardened};
     for (unsigned i = 0; i < b.rc.desc_slots; ++i) {
       b.mem.writeBytes(0x1000 + i * 64, b.randomBytes(64, 40 + i));
       const auto* c = b.run({b.desc(DmaMode::EcbEncrypt, 0x1000 + i * 64,

@@ -194,6 +194,26 @@ TEST(DriverRobustness, LateResponseAfterExpiredWatchdogAndCompletedRetry) {
   EXPECT_EQ(s.telemetry().transientFailures(), 0u);
 }
 
+// A timed-out session leaves its requests parked in the device. Once the
+// receiver is ready again they drain while a second session on the same
+// device streams, and none may be credited to that session's blocks:
+// request ids come from one per-device sequence, not per session.
+TEST(DriverRobustness, TimedOutSessionsLateResponsesNeverReachTheNextSession) {
+  Rig r;
+  r.acc.setReceiverReady(r.alice, false);
+  AccelSession a{r.acc, r.alice, 1,
+                 SessionOptions{.timeout_cycles = 2016, .max_retries = 1,
+                                .backoff_cycles = 32}};
+  EXPECT_EQ(a.ecbEncrypt(aes::Bytes(64, 0x11)).status(), AccelStatus::Timeout);
+
+  r.acc.setReceiverReady(r.alice, true);
+  AccelSession b{r.acc, r.alice, 1};
+  const aes::Bytes fresh(64, 0x22);
+  const auto res = b.ecbEncrypt(fresh);
+  ASSERT_TRUE(res.has_value()) << toString(res.status());
+  EXPECT_EQ(*res, aes::ecbEncrypt(fresh, r.golden));
+}
+
 // Overflow-drops exactly one of Alice's responses mid-stream. There is no
 // overflow buffer, so in the one cycle her receiver is not ready while
 // Eve's block (an incomparable label) is in the pipe, the Fig. 8 stall is
