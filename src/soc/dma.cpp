@@ -370,7 +370,9 @@ DmaError DmaRingEngine::latchSegment(Chain& c, std::size_t addr, bool head) {
   const std::uint8_t reserved = mem_.read8(addr + 9);
   const unsigned user = rd16(mem_, addr + 10);
   const unsigned slot = rd16(mem_, addr + 12);
-  const std::uint16_t seq = rd16(mem_, addr + 14);
+  // The head's seq is latched before its fields are judged, so a refusal's
+  // completion record names the submit it answers.
+  if (head) c.seq = rd16(mem_, addr + 14);
   if (mode > static_cast<std::uint8_t>(DmaMode::CtrCrypt) || reserved != 0 ||
       user >= acc_.userCount() || slot >= accel::kRoundKeySlots) {
     return DmaError::BadDescriptor;
@@ -379,7 +381,6 @@ DmaError DmaRingEngine::latchSegment(Chain& c, std::size_t addr, bool head) {
     c.user = user;
     c.key_slot = slot;
     c.mode = static_cast<DmaMode>(mode);
-    c.seq = seq;
     for (unsigned i = 0; i < 16; ++i) c.ctr_iv[i] = mem_.read8(addr + 48 + i);
   } else if (user != c.user || slot != c.key_slot ||
              static_cast<DmaMode>(mode) != c.mode) {

@@ -1,7 +1,9 @@
 #include "soc/service.h"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "aes/cipher.h"
 #include "soc/policy_engine.h"
@@ -689,30 +691,53 @@ unsigned AccelService::pump() {
   }
 
   const unsigned n = static_cast<unsigned>(tenants_.size());
+  const unsigned quota = cfg_.quota_per_round;
+  std::vector<unsigned> served(n, 0);  // quota units used, per tenant
   for (unsigned k = 0; k < n; ++k) {
     const unsigned t = (rr_next_ + k) % n;
-    unsigned served = 0;
     auto& ops = aead_[t];
     auto& blocks = blocks_[t];
     if (hardwarePath() && tenant_active_[t]) {
-      // AEAD first: one whole GCM op is one quota unit, and issuing it ahead
-      // of the block queue keeps a long message from starving behind blocks.
-      for (; served < cfg_.quota_per_round && ops.waiting() > 0 &&
-             inflightOf(aead_) < accel::kGcmOps;
-           ++served) {
-        issueAead(t);
-      }
-      for (; served < cfg_.quota_per_round && blocks.waiting() > 0 &&
+      // Blocks first, from the quota a unit per issuable AEAD op leaves:
+      // they enter the pipe while the AEAD pass below ticks.
+      const std::size_t held = std::min<std::size_t>(
+          {quota, ops.waiting(), accel::kGcmOps - inflightOf(aead_)});
+      for (; served[t] + held < quota && blocks.waiting() > 0 &&
              inflightOf(blocks_) < inflightCap();
-           ++served) {
+           ++served[t])
         issueBlock(t);
-      }
     } else {
-      for (; served < cfg_.quota_per_round && !ops.q.empty(); ++served)
+      for (; served[t] < quota && !ops.q.empty(); ++served[t])
         serveOne(t, ops);
-      for (; served < cfg_.quota_per_round && !blocks.q.empty(); ++served)
+      for (; served[t] < quota && !blocks.q.empty(); ++served[t])
         serveOne(t, blocks);
     }
+  }
+  // Then AEAD, shortest op (fewest payload blocks: public traffic shape)
+  // first across tenants; ops the kGcmOps cap passed over go first, oldest
+  // first, so none waits forever behind short ones (round contract, step 2).
+  while (hardwarePath()) {
+    const bool capped = inflightOf(aead_) >= accel::kGcmOps;
+    unsigned pick = n;
+    std::pair<std::uint64_t, std::size_t> first{};  // (passed over, blocks)
+    for (unsigned k = 0; k < n; ++k) {
+      const unsigned t = (rr_next_ + k) % n;
+      auto& ops = aead_[t];
+      if (!tenant_active_[t] || served[t] >= quota || ops.waiting() == 0)
+        continue;
+      if (capped && ops.passed_over == 0) ops.passed_over = acc_.cycle() + 1;
+      const std::pair<std::uint64_t, std::size_t> key{
+          ops.passed_over ? ops.passed_over : UINT64_MAX,
+          (ops.q[ops.inflight].op.data.size() + 15) / 16};
+      if (pick == n || key < first) {
+        pick = t;
+        first = key;
+      }
+    }
+    if (pick == n || capped) break;
+    aead_[pick].passed_over = 0;
+    issueAead(pick);
+    ++served[pick];
   }
   if (n) rr_next_ = (rr_next_ + 1) % n;
 

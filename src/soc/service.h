@@ -241,8 +241,9 @@ class AccelService {
   // Offer one AEAD operation (whole-message GCM seal/open). Admission uses
   // the same global watermark as blocks plus the tenant's own AEAD queue
   // depth, which bounds ops waiting to issue (ShedOldest evicts the oldest
-  // of those); one op is one quota unit in pump(), issued ahead of the
-  // block queue so a long message cannot be starved by block traffic.
+  // of those); one op is one quota unit in pump(), which the block pass
+  // leaves it before the ops issue (shortest first across tenants), so a
+  // long message cannot be starved by block traffic.
   SubmitResult submitSeal(unsigned tenant,
                           const std::vector<std::uint8_t>& plaintext,
                           const std::vector<std::uint8_t>& aad,
@@ -261,10 +262,19 @@ class AccelService {
 
   // One scheduling round. The round contract:
   //  1. canary probes when probation opens;
-  //  2. per tenant, round-robin: up to quota_per_round units — AEAD ops
-  //     first, then blocks. On the hardware path both are issued into the
-  //     live pipe and not waited on to finish: after each AEAD op the
-  //     service ticks only until that op's AES blocks have ENTERED the
+  //  2. up to quota_per_round units per tenant. On the hardware path each
+  //     tenant's blocks go first, round-robin, from the quota left after a
+  //     unit for each of its waiting AEAD ops that a free kGcmOps slot
+  //     could take; then the AEAD ops in one pass across tenants, shortest
+  //     first: next is whichever tenant's next waiting op puts the fewest
+  //     payload blocks into the pipe, ties in round-robin order. When the
+  //     kGcmOps cap ends that pass, the ops it passed over go ahead of
+  //     every later op, oldest first, so an op waits at most for the ops
+  //     passed over before it, one per other tenant, plus a free slot;
+  //     otherwise every tenant with a waiting op issues at least one.
+  //     Both are issued into the live pipe and not waited on to finish:
+  //     blocks enter it while the AEAD pass ticks, and after each AEAD op
+  //     the service ticks only until that op's AES blocks have ENTERED the
   //     pipe, so the next op overlaps its tail and ops never time-share
   //     the pipe.
   //     At most kGcmOps ops and pipeline().depth() + out_buffer_depth
@@ -332,6 +342,9 @@ class AccelService {
     std::deque<R> q;
     std::size_t inflight = 0;
     std::vector<R> shed;
+    // AEAD lanes: 1 + the cycle at which the kGcmOps cap first passed over
+    // the next waiting op (0: not passed over). pump() issues those first.
+    std::uint64_t passed_over = 0;
     std::size_t waiting() const { return q.size() - inflight; }
     std::size_t unsettled() const { return q.size() + shed.size(); }
   };

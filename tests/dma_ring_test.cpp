@@ -214,7 +214,7 @@ TEST(DmaRing, StructurallyInvalidDescriptorsRefused) {
   };
   const Case cases[] = {
       {8, 7, DmaError::BadDescriptor},            // mode out of range
-      {10, 999, DmaError::BadDescriptor},         // user out of range
+      {10, 99, DmaError::BadDescriptor},          // user out of range
       {12, accel::kRoundKeySlots, DmaError::BadDescriptor},
       {16, 1u << 20, DmaError::BadRange},         // src outside memory
       {16, SIZE_MAX - 32, DmaError::BadRange},    // src + len wraps
@@ -228,11 +228,11 @@ TEST(DmaRing, StructurallyInvalidDescriptorsRefused) {
       RingBench b{mode};
       b.mem.writeBytes(0x1000, b.randomBytes(64, 8));
       const auto data_before = b.mem.readBytes(0x1000, 0x4000);
-      const auto d = b.desc(DmaMode::EcbEncrypt, 0x1000, 0x2000, 64);
-      writeRingDescriptor(b.mem, b.rc.desc_base, d, 0, 5,
-                          b.eng.generation(b.ch), true);
-      // Overwrite one field, then re-seal the checksum: structure, not the
-      // checksum, must catch these.
+      const auto seq =
+          b.drv->submit(b.desc(DmaMode::EcbEncrypt, 0x1000, 0x2000, 64));
+      ASSERT_TRUE(seq.has_value());
+      // Overwrite one field before the engine fetches the descriptor, then
+      // re-seal the checksum: structure, not the checksum, must catch these.
       if (tc.offset == 10 || tc.offset == 12) {
         b.mem.write32(b.rc.desc_base + 8,
                       b.mem.read32(b.rc.desc_base + 8) & 0xffffu);
@@ -247,8 +247,15 @@ TEST(DmaRing, StructurallyInvalidDescriptorsRefused) {
       }
       b.mem.write32(b.rc.desc_base + 4,
                     ringChecksum(b.mem, b.rc.desc_base + 8, kDescBytes - 8));
-      b.eng.doorbell(b.ch);
-      for (unsigned i = 0; i < 64; ++i) b.eng.tick();
+      // The refusal answers the submit: its completion carries the head's
+      // seq, so the future resolves and nothing is left outstanding.
+      const auto* c = b.drv->wait(*seq, 256);
+      ASSERT_NE(c, nullptr) << "field offset " << tc.offset
+                            << ": the future never resolved";
+      EXPECT_EQ(c->status, tc.want)
+          << "field offset " << tc.offset << ": " << toString(c->status);
+      EXPECT_EQ(b.drv->outstanding(), 0u);
+      EXPECT_EQ(b.drv->duplicateCompletions(), 0u);
       EXPECT_EQ(b.eng.stats().by_error[static_cast<unsigned>(tc.want)], 1u)
           << "field offset " << tc.offset << " expected " << toString(tc.want);
       EXPECT_EQ(b.eng.stats().completed_ok, 0u);

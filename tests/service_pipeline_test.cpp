@@ -1,10 +1,13 @@
 // Pipelined cross-tenant issue in AccelService: fail-live ordering and
 // recovery (go-back-N on a failed head, exactly one verdict per ticket,
 // within a stated cycle bound), health telemetry that ignores abandoned
-// attempts, and barriers (drain, migration, canaries) that see blocks and
-// AEAD ops still inside the device.
+// attempts, barriers (drain, migration, canaries) that see blocks and
+// AEAD ops still inside the device, and shortest-first AEAD issue across
+// tenants.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "aes/cipher.h"
 #include "aes/gcm.h"
@@ -760,6 +763,260 @@ TEST(ServicePipeline, BlocksCompleteWhileALargeSealIsInFlight) {
       ++inside;
   }
   EXPECT_GT(inside, 0u);
+}
+
+// --- Shortest-first AEAD issue across tenants -------------------------------
+
+// Cycles an op's issue holds the pipe input: its payload blocks plus
+// E(K, J0) (back-to-back 64 B seals enter 5 cycles apart).
+std::uint64_t issueCycles(std::size_t bytes) { return (bytes + 15) / 16 + 1; }
+
+std::uint64_t sealTicket(Rig& r, unsigned t, unsigned i, std::size_t bytes) {
+  const auto sr = r.svc.submitSeal(r.tenants[t], bytesOf(t, i, bytes), {},
+                                   ivOf(t, i));
+  EXPECT_TRUE(sr.admitted);
+  return sr.ticket;
+}
+
+// A key's first op also derives its hash subkey H = E(K, 0^128) and holds
+// issue until H is back. One seal per tenant on its own session, clocked
+// outside the service (so the round-robin start stays at tenant 0), leaves
+// every H cached: the cycle bounds below are the steady state.
+void warmHashKeys(Rig& r) {
+  for (unsigned t = 0; t < r.tenants.size(); ++t) {
+    AccelSession s{r.acc, r.users[t], t + 1};
+    ASSERT_TRUE(s.gcmSeal(bytesOf(t, 99, 16), {}, ivOf(t, 99)).has_value());
+  }
+}
+
+// Submission to verdict of one seal of `bytes` on an idle device: its
+// issue plus the 37-cycle drain bound (pipe drain, GHASH tail, finalize),
+// so 42 cycles for 64 B and 1062 for 16 KiB.
+std::uint64_t loneSealCycles(std::size_t bytes) {
+  Rig r{1, ServiceConfig{}};
+  warmHashKeys(r);
+  sealTicket(r, 0, 0, bytes);
+  r.svc.runUntilIdle(1u << 15);
+  const auto c = r.svc.fetchAead(0);
+  EXPECT_TRUE(c.has_value() && c->status == CompletionStatus::Ok);
+  return c ? c->complete_cycle - c->submit_cycle : 0;
+}
+
+void expectSealed(const Rig& r, const AeadCompletion& c, unsigned t,
+                  unsigned i, std::size_t bytes) {
+  EXPECT_EQ(c.status, CompletionStatus::Ok);
+  EXPECT_EQ(c.served_by, ServedBy::Hardware);
+  const auto want = aes::gcmEncrypt(bytesOf(t, i, bytes), {}, r.golden[t],
+                                    ivOf(t, i));
+  EXPECT_EQ(c.data, want.ciphertext);
+  EXPECT_EQ(c.tag, want.tag);
+}
+
+// Tenant 0 comes first in round-robin order, but tenant 1's 64 B seal puts
+// fewer blocks into the pipe, so it issues first: it settles as fast as on
+// an idle device instead of behind ~1025 cycles of tenant 0's keystream,
+// and the 16 KiB seal pays only the small op's issue.
+TEST(ServicePipeline, ShortSealSettlesBeforeAnotherTenantsLongSeal) {
+  Rig r{2, ServiceConfig{}};
+  warmHashKeys(r);
+  sealTicket(r, 0, 0, 16384);
+  sealTicket(r, 1, 0, 64);
+  r.svc.runUntilIdle(1u << 15);
+  const auto big = r.svc.fetchAead(0);
+  const auto small = r.svc.fetchAead(1);
+  ASSERT_TRUE(big.has_value() && small.has_value());
+  expectSealed(r, *big, 0, 0, 16384);
+  expectSealed(r, *small, 1, 0, 64);
+  EXPECT_LT(small->complete_cycle, big->complete_cycle);
+  EXPECT_LE(small->complete_cycle - small->submit_cycle, loneSealCycles(64));
+  EXPECT_LE(big->complete_cycle - big->submit_cycle,
+            issueCycles(64) + loneSealCycles(16384));
+}
+
+// No starvation by quota: tenant 1 keeps its AEAD queue full of 64 B
+// seals, yet with the quota (4 ops), not the kGcmOps cap, ending each
+// round's AEAD pass, tenant 0's 16 KiB seal still issues in the round it
+// waits in, after at most a quota of each other tenant's ops, and settles
+// within that bound.
+TEST(ServicePipeline, LongSealIssuesInItsRoundWhileAnotherTenantFloods) {
+  ServiceConfig cfg;
+  constexpr unsigned kDepth = 8;
+  Rig r{2, cfg, 16, kDepth};
+  warmHashKeys(r);
+  sealTicket(r, 0, 0, 16384);
+  unsigned offered = 0;
+  std::optional<AeadCompletion> big;
+  std::vector<AeadCompletion> small;
+  for (unsigned guard = 0; guard < 4096 && !big; ++guard) {
+    while (offered - small.size() < kDepth) sealTicket(r, 1, offered++, 64);
+    r.svc.pump();
+    big = r.svc.fetchAead(0);
+    while (auto c = r.svc.fetchAead(1)) small.push_back(*c);
+  }
+  ASSERT_TRUE(big.has_value());
+  expectSealed(r, *big, 0, 0, 16384);
+  const std::uint64_t others = cfg.quota_per_round * (r.tenants.size() - 1);
+  EXPECT_LE(big->complete_cycle - big->submit_cycle,
+            others * issueCycles(64) + loneSealCycles(16384));
+  for (unsigned i = 0; i < small.size(); ++i)
+    expectSealed(r, small[i], 1, i, 64);
+}
+
+// Per-tenant FIFO holds: only a tenant's next waiting op is a candidate, so
+// tenant 0's 64 B seal queued behind its own 16 KiB seal settles after it,
+// riding its tail, while tenant 1's 64 B seal goes first.
+TEST(ServicePipeline, ATenantsOwnOpsKeepSubmissionOrder) {
+  Rig r{2, ServiceConfig{}};
+  warmHashKeys(r);
+  const std::uint64_t t_big = sealTicket(r, 0, 0, 16384);
+  const std::uint64_t t_small = sealTicket(r, 0, 1, 64);
+  sealTicket(r, 1, 0, 64);
+  r.svc.runUntilIdle(1u << 15);
+  const auto big = r.svc.fetchAead(0);
+  const auto small = r.svc.fetchAead(0);
+  const auto other = r.svc.fetchAead(1);
+  ASSERT_TRUE(big.has_value() && small.has_value() && other.has_value());
+  EXPECT_EQ(big->ticket, t_big);
+  EXPECT_EQ(small->ticket, t_small);
+  expectSealed(r, *big, 0, 0, 16384);
+  expectSealed(r, *small, 0, 1, 64);
+  expectSealed(r, *other, 1, 0, 64);
+  EXPECT_LT(other->complete_cycle, big->complete_cycle);
+  EXPECT_LE(small->complete_cycle - big->complete_cycle, issueCycles(64));
+}
+
+// Equal sizes keep the round-robin order: six 64 B seals from three
+// tenants, submitted after an empty round moved the round-robin start to
+// tenant 1, issue (and so settle) tenant 1's, then 2's, then 0's.
+TEST(ServicePipeline, EqualSizedOpsIssueInRoundRobinOrder) {
+  constexpr unsigned kTenants = 3;
+  Rig r{kTenants, ServiceConfig{}};
+  warmHashKeys(r);
+  r.svc.pump();  // empty: the next round starts at tenant 1
+  for (unsigned t = 0; t < kTenants; ++t)
+    for (unsigned i = 0; i < 2; ++i) sealTicket(r, t, i, 64);
+  r.svc.runUntilIdle(1u << 14);
+  std::vector<std::pair<std::uint64_t, unsigned>> settled;  // cycle, tenant
+  for (unsigned t = 0; t < kTenants; ++t) {
+    for (unsigned i = 0; i < 2; ++i) {
+      const auto c = r.svc.fetchAead(r.tenants[t]);
+      ASSERT_TRUE(c.has_value());
+      expectSealed(r, *c, t, i, 64);
+      settled.emplace_back(c->complete_cycle, t);
+    }
+  }
+  std::sort(settled.begin(), settled.end());
+  const std::vector<unsigned> want{1, 1, 2, 2, 0, 0};
+  for (unsigned k = 0; k < want.size(); ++k)
+    EXPECT_EQ(settled[k].second, want[k]) << "settled #" << k;
+  // Back-to-back issue: each op's blocks enter right behind the previous's.
+  for (unsigned k = 1; k < settled.size(); ++k)
+    EXPECT_EQ(settled[k].first - settled[k - 1].first, issueCycles(64));
+}
+
+// No starvation under the kGcmOps cap: tenants 1 and 2 stream 16 B seals
+// that take every sequencer slot, so the cap, not the queues, ends each
+// round's AEAD pass, and tenant 0's 16 KiB seal is never the shortest
+// candidate. Passed over by the cap in its first round, it goes ahead of
+// every op passed over later: it issues when the first slot frees, one
+// 16 B seal's latency after the round began, and settles a lone 16 KiB
+// seal's latency after that.
+TEST(ServicePipeline, LongSealIssuesWhileOtherTenantsHoldEveryOpSlot) {
+  constexpr unsigned kTenants = 3;
+  constexpr unsigned kDepth = 8;
+  Rig r{kTenants, ServiceConfig{}, 16, kDepth};
+  warmHashKeys(r);
+  sealTicket(r, 0, 0, 16384);
+  std::vector<unsigned> offered(kTenants, 0);
+  std::vector<std::vector<AeadCompletion>> small(kTenants);
+  std::optional<AeadCompletion> big;
+  for (unsigned guard = 0; guard < 4096 && !big; ++guard) {
+    for (unsigned t = 1; t < kTenants; ++t)
+      while (offered[t] - small[t].size() < kDepth)
+        sealTicket(r, t, offered[t]++, 16);
+    r.svc.pump();
+    big = r.svc.fetchAead(0);
+    for (unsigned t = 1; t < kTenants; ++t)
+      while (auto c = r.svc.fetchAead(t)) small[t].push_back(*c);
+  }
+  ASSERT_TRUE(big.has_value()) << "the 16 KiB seal never settled";
+  expectSealed(r, *big, 0, 0, 16384);
+  EXPECT_LE(big->complete_cycle - big->submit_cycle,
+            loneSealCycles(16) + loneSealCycles(16384));
+  for (unsigned t = 1; t < kTenants; ++t)
+    for (unsigned i = 0; i < small[t].size(); ++i)
+      expectSealed(r, small[t][i], t, i, 16);
+}
+
+// Mixed traffic: each tenant's blocks issue before the round's AEAD pass
+// and enter the pipe while it ticks, so they never wait behind another
+// tenant's 16 KiB seal, whichever tenant round-robin order puts first. The
+// pipe input alternates between the two tenants, so block i enters within
+// 2(i + 1) cycles and settles a pipe depth later.
+TEST(ServicePipeline, BlocksDoNotWaitBehindAnotherTenantsLongSeal) {
+  constexpr unsigned kBlocks = 4;  // one round's quota
+  for (unsigned sealer = 0; sealer < 2; ++sealer) {
+    Rig r{2, ServiceConfig{}};
+    warmHashKeys(r);
+    const unsigned blocker = 1 - sealer;
+    sealTicket(r, sealer, 0, 16384);
+    for (unsigned i = 0; i < kBlocks; ++i)
+      ASSERT_TRUE(r.svc.submit(r.tenants[blocker], blockOf(blocker, i))
+                      .admitted);
+    r.svc.runUntilIdle(1u << 15);
+    ASSERT_TRUE(r.svc.fetchAead(r.tenants[sealer]).has_value());
+    for (unsigned i = 0; i < kBlocks; ++i) {
+      const auto c = r.svc.fetch(r.tenants[blocker]);
+      ASSERT_TRUE(c.has_value());
+      EXPECT_EQ(c->status, CompletionStatus::Ok);
+      EXPECT_EQ(c->data, aes::encryptBlock(blockOf(blocker, i),
+                                           r.golden[blocker]));
+      EXPECT_LE(c->complete_cycle - c->submit_cycle,
+                r.acc.pipeline().depth() + 2 * (i + 1))
+          << "sealer " << sealer << ", block " << i;
+    }
+  }
+}
+
+// The block pass holds a tenant's quota back only for AEAD ops a free
+// kGcmOps slot could take. Tenant 0 keeps its AEAD queue full of 16 B
+// seals, as tenants 1 and 2 do, and all three together keep every slot
+// busy. Only the first round starts with free slots (and holds the blocks
+// back for tenant 0's seals); every later round starts with the cap full
+// and gives the blocks the whole quota, so after the first round (kGcmOps
+// seal issues and its closing tick) the backlog streams as on an idle
+// pipe: block i settles i + 1 + depth cycles later.
+TEST(ServicePipeline, BlocksKeepTheQuotaWhileEveryOpSlotIsHeld) {
+  constexpr unsigned kTenants = 3;
+  constexpr unsigned kDepth = 8;
+  constexpr unsigned kBlocks = 16;
+  Rig r{kTenants, ServiceConfig{}, kBlocks, kDepth};
+  warmHashKeys(r);
+  for (unsigned i = 0; i < kBlocks; ++i)
+    ASSERT_TRUE(r.svc.submit(r.tenants[0], blockOf(0, i)).admitted);
+  std::vector<unsigned> offered(kTenants, 0);
+  std::vector<unsigned> sealed(kTenants, 0);
+  std::vector<Completion> blocks;
+  for (unsigned guard = 0; guard < 4096 && blocks.size() < kBlocks;
+       ++guard) {
+    for (unsigned t = 0; t < kTenants; ++t)
+      while (offered[t] - sealed[t] < kDepth)
+        sealTicket(r, t, offered[t]++, 16);
+    r.svc.pump();
+    while (auto c = r.svc.fetch(r.tenants[0])) blocks.push_back(*c);
+    for (unsigned t = 0; t < kTenants; ++t)
+      while (auto c = r.svc.fetchAead(r.tenants[t]))
+        expectSealed(r, *c, t, sealed[t]++, 16);
+  }
+  ASSERT_EQ(blocks.size(), kBlocks) << "the blocks never issued";
+  for (unsigned i = 0; i < kBlocks; ++i) {
+    EXPECT_EQ(blocks[i].status, CompletionStatus::Ok);
+    EXPECT_EQ(blocks[i].data, aes::encryptBlock(blockOf(0, i), r.golden[0]));
+    EXPECT_LE(blocks[i].complete_cycle - blocks[i].submit_cycle,
+              accel::kGcmOps * issueCycles(16) + 1 + (i + 1) +
+                  r.acc.pipeline().depth())
+        << "block " << i;
+  }
 }
 
 // The round contract's clock: a round issues first and then ticks, at
