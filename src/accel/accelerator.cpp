@@ -411,15 +411,6 @@ bool AesAccelerator::submit(BlockRequest req) {
   return true;
 }
 
-std::size_t AesAccelerator::submitBatch(const std::vector<BlockRequest>& reqs) {
-  std::size_t accepted = 0;
-  for (const auto& r : reqs) {
-    if (!submit(r)) break;
-    ++accepted;
-  }
-  return accepted;
-}
-
 std::size_t AesAccelerator::fetchOutputs(unsigned user,
                                          std::vector<BlockResponse>& out) {
   auto& q = output_queues_.at(user);

@@ -111,11 +111,6 @@ class AesAccelerator {
   // Enqueue one block. Returns false if the key slot is unusable (invalid,
   // or needs more rounds than the pipeline has).
   bool submit(BlockRequest req);
-  // Batch submit: enqueue a contiguous run of requests (the arbiter still
-  // accepts at most one per cycle — this fills the input queue so the
-  // pipeline can run back-to-back). Stops at the first refusal; returns
-  // the number actually enqueued.
-  std::size_t submitBatch(const std::vector<BlockRequest>& reqs);
   void setReceiverReady(unsigned user, bool ready);
   std::optional<BlockResponse> fetchOutput(unsigned user);
   // Batch drain: append every response currently queued for `user` to

@@ -109,24 +109,6 @@ AccelStatus AccelSession::finishVerdict(AccelStatus verdict,
   return verdict;
 }
 
-void AccelSession::asyncSubmit(std::uint64_t ticket, AsyncBatch& b) {
-  while (b.submitted < b.blocks.size()) {
-    BlockRequest req;
-    req.req_id = acc_.next_req_id_;
-    req.user = user_;
-    req.key_slot = key_slot_;
-    req.decrypt = b.decrypt;
-    req.data = b.blocks[b.submitted];
-    if (!acc_.submit(req)) {
-      b.rejected = true;  // deterministic refusal — the batch verdict
-      return;
-    }
-    async_order_[req.req_id] = {ticket, b.submitted};
-    ++acc_.next_req_id_;
-    ++b.submitted;
-  }
-}
-
 void AccelSession::asyncDrain() {
   drained_.clear();
   acc_.fetchOutputs(user_, drained_);
@@ -162,21 +144,31 @@ std::uint64_t AccelSession::beginBatch(const std::vector<aes::Block>& blocks,
                                        bool decrypt) {
   const std::uint64_t ticket = next_ticket_++;
   AsyncBatch b;
-  b.blocks = blocks;
-  b.decrypt = decrypt;
   b.out.resize(blocks.size());
   b.state.assign(blocks.size(), 0);
-  b.begin_cycle = acc_.cycle();
-  auto [it, inserted] = async_batches_.emplace(ticket, std::move(b));
-  (void)inserted;
-  asyncSubmit(ticket, it->second);
+  // Submit every block now: a refusal is deterministic, so it is the
+  // batch verdict and nothing is left to submit on a later poll.
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    BlockRequest req;
+    req.req_id = acc_.next_req_id_;
+    req.user = user_;
+    req.key_slot = key_slot_;
+    req.decrypt = decrypt;
+    req.data = blocks[i];
+    if (!acc_.submit(req)) {
+      b.rejected = true;
+      break;
+    }
+    async_order_[req.req_id] = {ticket, i};
+    ++acc_.next_req_id_;
+  }
+  async_batches_.emplace(ticket, std::move(b));
   return ticket;
 }
 
 bool AccelSession::pollBatch(std::uint64_t ticket) {
   auto it = async_batches_.find(ticket);
   if (it == async_batches_.end()) return true;  // unknown or already retired
-  if (!it->second.rejected) asyncSubmit(ticket, it->second);
   asyncDrain();
   return asyncTerminal(it->second);
 }
@@ -207,7 +199,7 @@ AccelResult<std::vector<aes::Block>> AccelSession::retireBatch(
                 [&](const auto& e) { return e.second.first == ticket; });
   if (b.rejected) return AccelStatus::Rejected;
   if (b.transient) return *b.transient;
-  if (b.resolved < b.blocks.size()) return AccelStatus::Timeout;
+  if (b.resolved < b.out.size()) return AccelStatus::Timeout;
   if (b.any_suppressed) return AccelStatus::Suppressed;
   return std::move(b.out);
 }

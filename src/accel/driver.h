@@ -262,22 +262,17 @@ class AccelSession {
 
   // One outstanding asynchronous batch (beginBatch/pollBatch/finishBatch).
   struct AsyncBatch {
-    std::vector<aes::Block> blocks;
-    bool decrypt = false;
-    std::vector<aes::Block> out;
+    std::vector<aes::Block> out;  // one slot per block of the batch
     std::vector<char> state;  // 0 pending, 1 done, 2 suppressed
-    std::size_t submitted = 0;
     std::size_t resolved = 0;
     bool any_suppressed = false;
     bool rejected = false;
     std::optional<AccelStatus> transient;  // first fault-abort/drop
-    std::uint64_t begin_cycle = 0;
   };
   bool asyncTerminal(const AsyncBatch& b) const {
     return b.rejected || b.transient.has_value() ||
-           b.resolved == b.blocks.size();
+           b.resolved == b.out.size();
   }
-  void asyncSubmit(std::uint64_t ticket, AsyncBatch& b);
   // Remove a ticket, orphan its outstanding request ids and map its outcome
   // to a status, recording nothing (Rejected for an unknown ticket).
   AccelResult<std::vector<aes::Block>> retireBatch(std::uint64_t ticket);

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "accel/accelerator.h"
+#include "accel/driver.h"
 #include "aes/cipher.h"
 #include "aes/gcm.h"
 #include "aes/key_schedule.h"
@@ -57,15 +58,7 @@ struct Bench {
 
   void loadKey128(unsigned user, unsigned slot, unsigned base,
                   const std::vector<std::uint8_t>& key, lattice::Conf conf) {
-    acc.configureKeyCells(user, base, 2);
-    for (unsigned c = 0; c < 2; ++c) {
-      std::uint64_t w = 0;
-      for (unsigned b = 0; b < 8; ++b)
-        w |= static_cast<std::uint64_t>(key[8 * c + b]) << (8 * b);
-      if (!acc.writeKeyCell(user, base + c, w))
-        throw std::runtime_error("attack bench: legitimate key write refused");
-    }
-    if (!acc.loadKey(user, slot, base, aes::KeySize::Aes128, conf))
+    if (!accel::loadKey128(acc, user, slot, base, key, conf))
       throw std::runtime_error("attack bench: legitimate key load refused");
   }
 
@@ -358,16 +351,8 @@ AcceptanceDelayResult runAcceptanceDelayAttack(bool meet_includes_inputs,
 
   auto load = [&](unsigned user, unsigned slot, unsigned base,
                   const std::vector<std::uint8_t>& key) {
-    acc.configureKeyCells(user, base, 2);
-    for (unsigned c = 0; c < 2; ++c) {
-      std::uint64_t w = 0;
-      for (unsigned b = 0; b < 8; ++b)
-        w |= static_cast<std::uint64_t>(key[8 * c + b]) << (8 * b);
-      if (!acc.writeKeyCell(user, base + c, w))
-        throw std::runtime_error("acceptance bench: key write refused");
-    }
-    if (!acc.loadKey(user, slot, base, aes::KeySize::Aes128,
-                     acc.principal(user).authority.c))
+    if (!accel::loadKey128(acc, user, slot, base, key,
+                           acc.principal(user).authority.c))
       throw std::runtime_error("acceptance bench: key load refused");
   };
   load(alice, 1, 2, alice_key);

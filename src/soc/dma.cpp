@@ -107,6 +107,11 @@ std::string toString(DmaError e) {
 
 namespace {
 
+// Idle head poll cadence (a doorbell skips it).
+constexpr unsigned kPollInterval = 8;
+// Per-chain transient block resubmits.
+constexpr unsigned kBlockRetryCap = 8;
+
 std::uint16_t rd16(const HostMemory& m, std::size_t a) {
   return static_cast<std::uint16_t>(m.read8(a) |
                                     (static_cast<unsigned>(m.read8(a + 1))
@@ -485,7 +490,7 @@ void DmaRingEngine::stepFetchUnit(std::uint64_t now) {
     Channel& ch = chans_[i];
     if (ch.chain) continue;
     if (!ch.doorbell && now < ch.next_poll_cycle) continue;
-    ch.next_poll_cycle = now + std::max(1u, ch.cfg.poll_interval);
+    ch.next_poll_cycle = now + kPollInterval;
     const std::uint32_t flags = mem_.read32(descAddr(ch));
     if (flags & kRingOwned) {
       ch.doorbell = false;
@@ -575,8 +580,8 @@ void DmaRingEngine::routeResponse(const accel::BlockResponse& resp,
     c.inflight.erase(it);
     c.progress_cycle = now;
     if (resp.fault_aborted || resp.dropped) {
-      if (++c.block_retries > chans_[i].cfg.block_retry_cap +
-                                  static_cast<unsigned>(c.stream.size())) {
+      if (++c.block_retries >
+          kBlockRetryCap + static_cast<unsigned>(c.stream.size())) {
         c.verdict = DmaError::FaultAborted;
         finalize(i);
         return;

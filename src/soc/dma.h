@@ -200,8 +200,6 @@ struct DmaRingConfig {
   std::uint64_t watchdog_cycles = 4096;
   unsigned max_resubmits = 2;  // whole-descriptor recovery attempts
   unsigned fetch_cycles = 2;   // cycles to fetch + validate one segment
-  unsigned poll_interval = 8;  // idle head poll cadence (doorbell skips it)
-  unsigned block_retry_cap = 8;  // per-chain transient block resubmits
 };
 
 struct DmaRingStats {

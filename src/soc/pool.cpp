@@ -11,6 +11,10 @@ namespace {
 
 using accel::SecurityEventKind;
 
+// Device-cycle budget for the drain / slot-quiesce barriers inside
+// migrateTenant and retireShard.
+constexpr std::uint64_t kMigrateDrainCycles = 1u << 16;
+
 // FNV-1a 64: placement depends only on the tenant's public name — never on
 // key material or traffic — so shard co-residency is data-independent.
 std::uint64_t fnv1a(const std::string& s) {
@@ -134,7 +138,7 @@ std::optional<unsigned> EnginePool::chooseShard(
 
   unsigned lightest = order[0];
   for (unsigned s : order) {
-    if (shards_[s].tenants < shards_[lightest].tenants) lightest = s;
+    if (shards_[s].tenants() < shards_[lightest].tenants()) lightest = s;
   }
   // Power-of-two-choices over the rendezvous order: the tenant's TWO
   // top-weight shards are its stable candidate set, and it takes the less
@@ -144,7 +148,7 @@ std::optional<unsigned> EnginePool::chooseShard(
   // stability under hot-add — stays a function of the name alone.
   unsigned home = order[0];
   if (order.size() > 1 &&
-      shards_[order[1]].tenants < shards_[home].tenants &&
+      shards_[order[1]].tenants() < shards_[home].tenants() &&
       freeSlotOn(shards_[order[1]]) >= 0) {
     home = order[1];
   }
@@ -153,11 +157,11 @@ std::optional<unsigned> EnginePool::chooseShard(
   // at factor 2.0 a second co-resident spills to an empty shard rather
   // than clump while capacity idles.
   if (apply_spill) {
-    const double home_load = static_cast<double>(shards_[home].tenants + 1);
+    const double home_load = static_cast<double>(shards_[home].tenants() + 1);
     const double light_load =
-        static_cast<double>(shards_[lightest].tenants + 1);
+        static_cast<double>(shards_[lightest].tenants() + 1);
     if (home_load >= cfg_.spill_factor * light_load &&
-        shards_[lightest].tenants < shards_[home].tenants &&
+        shards_[lightest].tenants() < shards_[home].tenants() &&
         freeSlotOn(shards_[lightest]) >= 0) {
       return lightest;
     }
@@ -169,26 +173,32 @@ std::optional<unsigned> EnginePool::chooseShard(
   return std::nullopt;
 }
 
+TenantSpec EnginePool::placeSpec(Shard& sh, unsigned slot,
+                                 const PoolTenantSpec& spec, TenantSpec base) {
+  base.user =
+      sh.engine->addUser(lattice::Principal::user(spec.name, spec.category));
+  base.key_slot = slot;
+  // Staging cells are re-tagged on every key (re)load, so reusing them
+  // round-robin across a shard's slots is safe.
+  base.cell_base = (2 * (slot - 1)) % accel::kScratchpadCells;
+  return base;
+}
+
 PlaceResult EnginePool::addTenant(const PoolTenantSpec& spec) {
   const auto shard = chooseShard(spec.name, {}, /*apply_spill=*/true);
   if (!shard.has_value()) return {false, 0, PlaceError::PoolFull};
   Shard& sh = shards_[*shard];
-  const int slot = freeSlotOn(sh);
 
-  TenantSpec t;
-  t.user = sh.engine->addUser(lattice::Principal::user(spec.name, spec.category));
-  t.key_slot = static_cast<unsigned>(slot);
-  // Staging cells are re-tagged on every key (re)load, so reusing them
-  // round-robin across a shard's slots is safe.
-  t.cell_base = (2 * (t.key_slot - 1)) % accel::kScratchpadCells;
-  t.key = spec.key;
-  t.key_conf = lattice::Conf::category(spec.category);
-  t.queue_depth = spec.queue_depth;
+  TenantSpec base;
+  base.key = spec.key;
+  base.key_conf = lattice::Conf::category(spec.category);
+  base.queue_depth = spec.queue_depth;
+  const TenantSpec t = placeSpec(
+      sh, static_cast<unsigned>(freeSlotOn(sh)), spec, std::move(base));
 
   const auto local_id = sh.service->tryAddTenant(t);
   if (!local_id.has_value()) return {false, 0, PlaceError::ProvisionRefused};
   sh.slots.set(t.key_slot);
-  ++sh.tenants;
   recs_.push_back(TenantRec{spec, Route{*shard, *local_id}, {}});
   return {true, static_cast<unsigned>(recs_.size() - 1), PlaceError::None};
 }
@@ -201,10 +211,20 @@ std::optional<unsigned> EnginePool::pickTargetShard(
   return chooseShard(rec.spec.name, ex, /*apply_spill=*/false);
 }
 
+void EnginePool::zeroizeTenant(Shard& sh, unsigned local,
+                               const TenantSpec& spec) {
+  sh.service->deactivateTenant(local);
+  sh.engine->clearKey(0, spec.key_slot);
+  for (unsigned c = 0; c < 2; ++c) {
+    sh.engine->writeKeyCell(
+        spec.user, (spec.cell_base + c) % accel::kScratchpadCells, 0);
+  }
+}
+
 bool EnginePool::quiesceSlot(Shard& sh, unsigned slot) const {
   std::uint64_t waited = 0;
   while (sh.engine->keySlotBusy(slot)) {
-    if (waited++ >= cfg_.migrate_drain_cycles) return false;
+    if (waited++ >= kMigrateDrainCycles) return false;
     sh.engine->tick();
   }
   return true;
@@ -243,7 +263,7 @@ MigrateResult EnginePool::migrateTenant(unsigned tenant, unsigned dst_shard) {
 
   // 1. Complete still-queued work at the source under the still-valid key,
   //    so no request ever spans the handover.
-  if (!src.service->drainTenant(rec.route.local, cfg_.migrate_drain_cycles)) {
+  if (!src.service->drainTenant(rec.route.local, kMigrateDrainCycles)) {
     return fail(MigrateError::DrainTimeout);
   }
 
@@ -251,49 +271,33 @@ MigrateResult EnginePool::migrateTenant(unsigned tenant, unsigned dst_shard) {
   //    and under the same principal/category label as the original
   //    provisioning, so the key travels at (ck = category conf, owner =
   //    the tenant's own label) and never below it.
-  TenantSpec t2;
-  t2.user = dst.engine->addUser(
-      lattice::Principal::user(rec.spec.name, rec.spec.category));
-  t2.key_slot = static_cast<unsigned>(dst_slot);
-  t2.cell_base = (2 * (t2.key_slot - 1)) % accel::kScratchpadCells;
-  t2.key = src_spec.key;
-  t2.key_conf = src_spec.key_conf;
-  t2.queue_depth = src_spec.queue_depth;
-  t2.aead_queue_depth = src_spec.aead_queue_depth;
+  const TenantSpec t2 =
+      placeSpec(dst, static_cast<unsigned>(dst_slot), rec.spec, src_spec);
   const auto dst_local = dst.service->tryAddTenant(t2);
   if (!dst_local.has_value()) return fail(MigrateError::ProvisionRefused);
 
-  // 3. Slot-quiesce barrier (KeyManager::rotate discipline): no in-flight
-  //    pipeline block may still reference the source slot.
+  // 3. Slot-quiesce barrier: no in-flight pipeline block may still
+  //    reference the source slot.
   if (!quiesceSlot(src, src_spec.key_slot)) {
     // Roll the target back — retire the orphan provisioning and zeroize
-    // its slot so exactly one live copy of the key remains (the source).
-    dst.service->deactivateTenant(*dst_local);
-    dst.engine->clearKey(0, t2.key_slot);
+    // its slot and cells so exactly one live copy of the key remains (the
+    // source).
+    zeroizeTenant(dst, *dst_local, t2);
     return fail(MigrateError::QuiesceTimeout);
   }
 
-  // 4. Zeroize at the source (supervisor-integrity destructive write) and
-  //    retire the source-side tenant so nothing can be queued or served
-  //    under the dead slot. The staging cells are scrubbed as well.
-  src.service->deactivateTenant(rec.route.local);
-  src.engine->clearKey(0, src_spec.key_slot);
-  for (unsigned c = 0; c < 2; ++c) {
-    src.engine->writeKeyCell(src_spec.user,
-                             (src_spec.cell_base + c) % accel::kScratchpadCells,
-                             0);
-  }
+  // 4. Zeroize at the source and retire the source-side tenant so nothing
+  //    can be queued or served under the dead slot.
+  zeroizeTenant(src, rec.route.local, src_spec);
   noteBothRings(SecurityEventKind::MigrationKeyZeroized, src_shard, dst_shard,
                 src_spec.user, what.str());
 
   // 5. Commit the route. Completions already delivered at the source stay
   //    fetchable through the history chain.
   src.slots.reset(src_spec.key_slot);
-  --src.tenants;
   rec.history.push_back(rec.route);
   rec.route = Route{dst_shard, *dst_local};
   dst.slots.set(t2.key_slot);
-  ++dst.tenants;
   ++pool_stats_.migrations;
   noteBothRings(SecurityEventKind::MigrationCommitted, src_shard, dst_shard,
                 t2.user, what.str());
@@ -306,7 +310,7 @@ bool EnginePool::retireShard(unsigned shard) {
   std::size_t free_elsewhere = 0;
   for (unsigned s = 0; s < shards_.size(); ++s) {
     if (s == shard || shards_[s].retired) continue;
-    free_elsewhere += (accel::kRoundKeySlots - 1) - shards_[s].tenants;
+    free_elsewhere += (accel::kRoundKeySlots - 1) - shards_[s].tenants();
   }
   const auto evacuees = tenantsOnShard(shard);
   if (evacuees.size() > free_elsewhere) return false;
@@ -320,7 +324,7 @@ bool EnginePool::retireShard(unsigned shard) {
   Shard& sh = shards_[shard];
   // Drain whatever the shard still owes (evacuation already drained each
   // tenant; this covers stragglers like canary traffic).
-  sh.service->runUntilIdle(cfg_.migrate_drain_cycles);
+  sh.service->runUntilIdle(kMigrateDrainCycles);
   // Zeroize every remaining valid slot through the same scrub path.
   for (unsigned s = 0; s < accel::kRoundKeySlots; ++s) {
     if (!sh.engine->roundKeys().valid(s)) continue;

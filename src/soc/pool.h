@@ -42,12 +42,13 @@
 //    security argument: (1) still-queued work completes at the source
 //    under the old provisioning, (2) the session key is re-provisioned at
 //    the TARGET through the same tagged scratchpad path as the original
-//    load, (3) a KeyManager::rotate-style slot-quiesce barrier waits out
-//    in-flight pipeline blocks, (4) only then is the source slot zeroized
-//    and the source-side tenant retired. MigrationBegun / KeyZeroized /
-//    Committed events land in BOTH shards' rings, and any request that
-//    would have executed under a stale or zeroized key is refused and
-//    counted in ServiceStats::wrong_key_uses — which must stay 0.
+//    load, (3) a slot-quiesce barrier ticks the source engine until no
+//    in-flight pipeline block references the source slot, (4) only then is
+//    the source slot zeroized and the source-side tenant retired.
+//    MigrationBegun / KeyZeroized / Committed events land in BOTH shards'
+//    rings, and any request that would have executed under a stale or
+//    zeroized key is refused and counted in ServiceStats::wrong_key_uses —
+//    which must stay 0.
 //
 // Capacity: each shard hosts up to kRoundKeySlots - 1 tenants (slot 0 is
 // left to the shard supervisor by convention); the scratchpad cells are a
@@ -86,9 +87,6 @@ struct PoolConfig {
   // tenants (counting the newcomer). 2.0 keeps placement sticky under
   // balanced load but stops pathological hash clumping.
   double spill_factor = 2.0;
-  // Device-cycle budget for the drain / slot-quiesce barriers inside
-  // migrateTenant and retireShard.
-  std::uint64_t migrate_drain_cycles = 1u << 16;
 };
 
 // Why the pool could not place (or move) a tenant. Mirrors SubmitResult's
@@ -220,7 +218,7 @@ class EnginePool {
     return recs_.at(tenant).spec;
   }
   std::size_t tenantsOn(unsigned shard) const {
-    return shards_.at(shard).tenants;
+    return shards_.at(shard).tenants();
   }
   std::size_t totalQueued() const;
   std::uint64_t maxShardCycle() const;  // wall-clock proxy: slowest shard
@@ -240,12 +238,13 @@ class EnginePool {
     // reference to it; unique_ptr keeps both pinned while the vector grows.
     std::unique_ptr<accel::AesAccelerator> engine;
     std::unique_ptr<AccelService> service;
-    std::size_t tenants = 0;  // active tenants currently homed here
     bool retired = false;
     // Key-slot occupancy (slot 0 reserved for the shard supervisor).
     // Migration frees slots, so allocation walks this instead of assuming
     // slot == 1 + arrival order.
     std::bitset<accel::kRoundKeySlots> slots;
+    // Active tenants currently homed here: one per occupied tenant slot.
+    std::size_t tenants() const { return slots.count() - 1; }
   };
   struct Route {
     unsigned shard = 0;
@@ -265,8 +264,15 @@ class EnginePool {
                                       const std::vector<unsigned>& exclude,
                                       bool apply_spill) const;
   int freeSlotOn(const Shard& sh) const;
-  // Wait (ticking the shard's engine) until no in-flight block references
-  // the slot — the KeyManager::rotate-style barrier.
+  // Provisioning of the tenant `spec` in `slot` of `sh`: `base` with a
+  // fresh user under the tenant's label and the slot's staging cells.
+  static TenantSpec placeSpec(Shard& sh, unsigned slot,
+                              const PoolTenantSpec& spec, TenantSpec base);
+  // Retire the shard-local tenant, zeroize its key slot (a supervisor-
+  // integrity destructive write) and scrub its two staging cells.
+  static void zeroizeTenant(Shard& sh, unsigned local, const TenantSpec& spec);
+  // Slot-quiesce barrier: tick the shard's engine until no in-flight block
+  // references the slot. False when the drain budget runs out first.
   bool quiesceSlot(Shard& sh, unsigned slot) const;
   void noteBothRings(accel::SecurityEventKind kind, unsigned src_shard,
                      unsigned dst_shard, unsigned user,

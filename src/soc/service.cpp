@@ -333,6 +333,11 @@ bool AccelService::reprovisionKey(unsigned tenant) {
   return true;
 }
 
+// Device cycles charged per software-fallback block, ticked on the
+// accelerator so quarantine residency and background scrubbing advance
+// while traffic is off the hardware.
+constexpr unsigned kFallbackCyclesPerBlock = 40;
+
 void AccelService::serveFallback(unsigned tenant, const Request& req) {
   // The breaker is open: compute in software, but release under exactly the
   // declassification rule the tagged pipeline applies at its exit. A label
@@ -343,7 +348,7 @@ void AccelService::serveFallback(unsigned tenant, const Request& req) {
       acc_.principal(spec.user), spec.key_conf);
   // Model the software path's cost on the shared clock so quarantine
   // residency and the background scrub keep advancing.
-  acc_.run(cfg_.fallback_cycles_per_block);
+  acc_.run(kFallbackCyclesPerBlock);
   if (!decision.allowed) {
     ++stats_.fallback_suppressed;
     complete(tenant, req, CompletionStatus::Suppressed,
@@ -561,7 +566,7 @@ void AccelService::serveFallback(unsigned tenant, const AeadRequest& req) {
   const std::uint64_t blocks = (op.data.size() + 15) / 16 +
                                (op.aad.size() + 15) / 16 +
                                (op.iv.size() + 15) / 16 + 2;  // + J0, tag
-  acc_.run(cfg_.fallback_cycles_per_block * blocks);
+  acc_.run(kFallbackCyclesPerBlock * blocks);
   if (!decision.allowed) {
     ++stats_.fallback_suppressed;
     complete(tenant, req, CompletionStatus::Suppressed,

@@ -72,10 +72,6 @@ struct ServiceConfig {
   // is the only owner of block and AEAD retry: the pipelined issue path
   // makes one device attempt per issue, with no retry inside the driver.
   unsigned max_requeues = 1;
-  // Device cycles charged per software-fallback block, ticked on the
-  // accelerator so quarantine residency and background scrubbing advance
-  // while traffic is off the hardware.
-  unsigned fallback_cycles_per_block = 40;
   HealthConfig health;
   // Per-block watchdog of the Healthy hardware path (an AEAD op's watchdog
   // is it plus two cycles per AES block)…

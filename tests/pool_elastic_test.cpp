@@ -198,6 +198,12 @@ TEST(PoolElastic, MigrationZeroizesSourceAndAuditsBothRings) {
   const unsigned dst = 1 - src;
   const unsigned src_local = localOf(pool, mover);
   const unsigned src_valid_before = validSlots(pool.shardEngine(src));
+  // The key bytes still sit in the tenant's two staging cells after the load.
+  const auto& pad = pool.shardEngine(src).scratchpad();
+  const unsigned cell_base =
+      pool.shardService(src).tenantSpec(src_local).cell_base;
+  EXPECT_NE(pad.rawCell(cell_base), 0u);
+  EXPECT_NE(pad.rawCell(cell_base + 1), 0u);
 
   // Some in-flight work so drain + quiesce actually have something to do.
   for (unsigned i = 0; i < 8; ++i) {
@@ -208,8 +214,10 @@ TEST(PoolElastic, MigrationZeroizesSourceAndAuditsBothRings) {
   ASSERT_TRUE(r.moved) << toString(r.error);
 
   // Zeroize-at-source, verified through the key store itself: exactly one
-  // slot lost its valid bit.
+  // slot lost its valid bit, and both staging cells are scrubbed.
   EXPECT_EQ(validSlots(pool.shardEngine(src)), src_valid_before - 1);
+  EXPECT_EQ(pad.rawCell(cell_base), 0u);
+  EXPECT_EQ(pad.rawCell(cell_base + 1), 0u);
 
   // The audit triple is present in BOTH rings.
   for (unsigned shard : {src, dst}) {
@@ -275,6 +283,54 @@ TEST(PoolElastic, MigrationRefusalsAreTypedAndLeaveSourceServing) {
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->status, CompletionStatus::Ok);
   EXPECT_EQ(pool.aggregateStats().wrong_key_uses, 0u);
+}
+
+TEST(PoolElastic, QuiesceTimeoutRollsBackAndScrubsTheTarget) {
+  EnginePool pool{poolConfig(2)};
+  std::vector<unsigned> ids;
+  for (unsigned t = 0; t < 4; ++t) ids.push_back(addTenantN(pool, t));
+  const unsigned mover = ids[0];
+  const unsigned src = pool.shardOf(mover);
+  const unsigned dst = 1 - src;
+  const unsigned src_local = localOf(pool, mover);
+  const TenantSpec spec = pool.shardService(src).tenantSpec(src_local);
+
+  // Hold the mover's slot busy past the drain budget: the shard
+  // supervisor's blocks under it stall behind a receiver that is not ready.
+  auto& src_eng = pool.shardEngine(src);
+  src_eng.setReceiverReady(0, false);
+  for (unsigned i = 0; i < 2 * src_eng.pipeline().depth(); ++i) {
+    accel::BlockRequest req;
+    req.req_id = 900000 + i;
+    req.user = 0;
+    req.key_slot = spec.key_slot;
+    req.data = patternBlock(static_cast<std::uint8_t>(i));
+    ASSERT_TRUE(src_eng.submit(req));
+    src_eng.tick();
+  }
+  ASSERT_TRUE(src_eng.keySlotBusy(spec.key_slot));
+
+  const auto& dst_pad = pool.shardEngine(dst).scratchpad();
+  std::vector<std::uint64_t> dst_cells;
+  for (unsigned c = 0; c < accel::kScratchpadCells; ++c)
+    dst_cells.push_back(dst_pad.rawCell(c));
+  const unsigned dst_valid = validSlots(pool.shardEngine(dst));
+
+  const auto r = pool.migrateTenant(mover, dst);
+  EXPECT_FALSE(r.moved);
+  EXPECT_EQ(r.error, MigrateError::QuiesceTimeout);
+  EXPECT_EQ(pool.poolStats().migration_failures, 1u);
+
+  // The rollback leaves no copy of the key at the target: its slots and
+  // staging cells read as they did before the move.
+  EXPECT_EQ(validSlots(pool.shardEngine(dst)), dst_valid);
+  for (unsigned c = 0; c < accel::kScratchpadCells; ++c)
+    EXPECT_EQ(dst_pad.rawCell(c), dst_cells[c]) << "target cell " << c;
+
+  // The source keeps its key and its tenant.
+  EXPECT_EQ(pool.shardOf(mover), src);
+  EXPECT_TRUE(src_eng.roundKeys().valid(spec.key_slot));
+  EXPECT_TRUE(pool.shardService(src).tenantActive(src_local));
 }
 
 TEST(PoolElastic, RetireShardEvacuatesZeroizesAndKeepsTenantsServing) {
